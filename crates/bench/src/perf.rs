@@ -632,11 +632,13 @@ pub struct ScaleProbe {
 /// The scale probe's configuration: a million tiny-shard clients, no
 /// attackers (the probe measures the engine, not the filter), threads = 1
 /// (the inline path is the documented scale path), and the auto-sized
-/// shard cache. The allocator peak this produces is dominated by the
-/// Ω-sized aggregation buffer (each buffered update carries a full model
-/// delta) — legitimate server state that scales with Ω, not with the
-/// population — so Ω is kept moderate to keep the probe's wall clock and
-/// footprint CI-friendly.
+/// shard cache. The largest single share of the allocator peak this
+/// produces is the 10⁶-entry event queue (88 B per entry; queued jobs
+/// share one global-model snapshot per round). The Ω-sized aggregation
+/// buffer is a minor share: 8192 buffered updates of the 330-parameter
+/// model, parameters plus delta, are ≈ 43 MB. Ω is kept moderate to keep
+/// the probe's wall clock CI-friendly, since the filter pass's 1-D k-means
+/// is quadratic in Ω.
 fn scale_probe_config(quick: bool) -> SimConfig {
     let mut cfg = SimConfig::paper_default(DatasetProfile::Mnist);
     cfg.num_clients = 1_000_000;

@@ -2,11 +2,13 @@
 //!
 //! One-dimensional k-means has optimal clusterings whose clusters are
 //! contiguous intervals of the sorted input. Dynamic programming over the
-//! sorted values therefore finds the *global* optimum in `O(k·n²)` — cheap at
-//! the sizes AsyncFilter sees (one score per buffered update, n ≤ a few
-//! hundred) and, unlike Lloyd iterations, fully deterministic. Determinism
-//! matters for the reproducible-mode guarantees inherited from the paper's
-//! PLATO setup.
+//! sorted values therefore finds the *global* optimum in `O(k·n²)`: about
+//! `(k−2)·n²/2 + O(n)` interval-cost evaluations for `k ≥ 2`, since the
+//! last DP row needs only its final cell — `n²/2` at AsyncFilter's `k = 3`.
+//! That is cheap at paper buffer sizes (one score per buffered update,
+//! Ω ≤ a few hundred) and, unlike Lloyd iterations, fully deterministic.
+//! Determinism matters for the reproducible-mode guarantees inherited from
+//! the paper's PLATO setup.
 
 /// Result of an exact 1-D k-means run.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,7 +106,10 @@ pub fn kmeans_1d(values: &[f64], k: usize) -> KMeans1dResult {
         dp[0][j] = interval_cost(0, j);
     }
     for c in 1..kk {
-        for j in (c + 1)..=n {
+        // Boundary recovery reads only `dp[kk-1][n]`, so the last row
+        // computes that one cell.
+        let first_j = if c + 1 == kk { n } else { c + 1 };
+        for j in first_j..=n {
             // Last cluster covers sorted[m..j]; m >= c so earlier clusters
             // are non-empty.
             for m in c..j {
@@ -175,6 +180,99 @@ pub fn kmeans_1d(values: &[f64], k: usize) -> KMeans1dResult {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The full-table DP `kmeans_1d` replaced: every cell of every row,
+    /// including the last row's unread columns. The bit-identity reference.
+    #[allow(clippy::needless_range_loop)]
+    fn kmeans_1d_full_table(values: &[f64], k: usize) -> KMeans1dResult {
+        let n = values.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+        let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
+        let mut pref = vec![0.0; n + 1];
+        let mut pref_sq = vec![0.0; n + 1];
+        for i in 0..n {
+            pref[i + 1] = pref[i] + sorted[i];
+            pref_sq[i + 1] = pref_sq[i] + sorted[i] * sorted[i];
+        }
+        let interval_cost = |i: usize, j: usize| -> f64 {
+            if j <= i {
+                return 0.0;
+            }
+            let len = (j - i) as f64;
+            let sum = pref[j] - pref[i];
+            ((pref_sq[j] - pref_sq[i]) - sum * sum / len).max(0.0)
+        };
+        let kk = k.min(n);
+        let mut dp = vec![vec![f64::INFINITY; n + 1]; kk];
+        let mut cut = vec![vec![0usize; n + 1]; kk];
+        for j in 0..=n {
+            dp[0][j] = interval_cost(0, j);
+        }
+        for c in 1..kk {
+            for j in (c + 1)..=n {
+                for m in c..j {
+                    let cost = dp[c - 1][m] + interval_cost(m, j);
+                    if cost < dp[c][j] {
+                        dp[c][j] = cost;
+                        cut[c][j] = m;
+                    }
+                }
+            }
+        }
+        let mut boundaries = vec![0usize; kk + 1];
+        boundaries[kk] = n;
+        let mut j = n;
+        for c in (1..kk).rev() {
+            j = cut[c][j];
+            boundaries[c] = j;
+        }
+        let mut assignments_sorted = vec![0usize; n];
+        let mut centroids = Vec::with_capacity(k);
+        let mut sizes = Vec::with_capacity(k);
+        let mut inertia = 0.0;
+        for c in 0..kk {
+            let (lo, hi) = (boundaries[c], boundaries[c + 1]);
+            for a in assignments_sorted.iter_mut().take(hi).skip(lo) {
+                *a = c;
+            }
+            let len = hi - lo;
+            centroids.push(if len > 0 {
+                (pref[hi] - pref[lo]) / len as f64
+            } else {
+                sorted[n - 1]
+            });
+            sizes.push(len);
+            inertia += interval_cost(lo, hi);
+        }
+        while centroids.len() < k {
+            centroids.push(sorted[n - 1]);
+            sizes.push(0);
+        }
+        let mut assignments = vec![0usize; n];
+        for (sorted_pos, &orig) in order.iter().enumerate() {
+            assignments[orig] = assignments_sorted[sorted_pos];
+        }
+        KMeans1dResult {
+            assignments,
+            centroids,
+            sizes,
+            inertia,
+        }
+    }
+
+    /// Bitwise equality of two results (`==` on `f64` would let `-0.0`
+    /// match `0.0`).
+    fn bit_identical(a: &KMeans1dResult, b: &KMeans1dResult) -> bool {
+        let bits = |r: &KMeans1dResult| -> Vec<u64> {
+            r.centroids
+                .iter()
+                .chain(std::iter::once(&r.inertia))
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        a.assignments == b.assignments && a.sizes == b.sizes && bits(a) == bits(b)
+    }
 
     #[test]
     fn single_cluster_mean() {
@@ -264,6 +362,31 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_last_row_single_cell_matches_full_table(
+            levels in 1u32..6,
+            picks in proptest::collection::vec((0u32..12, -4.0..4.0f64), 1..64),
+        ) {
+            // Mostly a few equally spaced levels — duplicates, fewer distinct
+            // values than k, and exactly tied split costs — plus the odd
+            // continuous value. Every prefix is checked at every k.
+            let values: Vec<f64> = picks
+                .iter()
+                .map(|&(idx, x)| if idx == 0 { x } else { f64::from(idx % levels) })
+                .collect();
+            for n in 1..=values.len() {
+                for k in 1..=5 {
+                    let fast = kmeans_1d(&values[..n], k);
+                    let reference = kmeans_1d_full_table(&values[..n], k);
+                    prop_assert!(
+                        bit_identical(&fast, &reference),
+                        "{:?} k={k}: {fast:?} vs {reference:?}",
+                        &values[..n]
+                    );
+                }
+            }
+        }
+
         #[test]
         fn prop_clusters_are_intervals(
             mut values in proptest::collection::vec(-100.0..100.0f64, 2..40),

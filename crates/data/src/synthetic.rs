@@ -20,6 +20,7 @@
 use crate::dataset::{Dataset, Sample};
 use crate::partition::Partitioner;
 use crate::sampling::{categorical, standard_normal};
+use asyncfl_rng::rngs::StdRng;
 use asyncfl_rng::{Rng, RngExt};
 use asyncfl_tensor::Vector;
 
@@ -258,6 +259,26 @@ impl Task {
     ) -> Dataset {
         let probs = partitioner.label_distribution(self.spec.num_classes, rng);
         self.sample_with_distribution(&probs, size, rng)
+    }
+
+    /// Leaves `rng` exactly where [`client_dataset`](Self::client_dataset)
+    /// with the same arguments would, without building the shard.
+    ///
+    /// The label distribution is drawn for real (the Dirichlet's gamma
+    /// rejection loop consumes a value-dependent number of draws). Each
+    /// sample then takes its categorical draw, jumps past the Box–Muller
+    /// features in O(1) (two draws per coordinate), and makes the
+    /// label-noise draws, which are value-dependent too.
+    pub fn skip_client_dataset(&self, partitioner: &Partitioner, size: usize, rng: &mut StdRng) {
+        let probs = partitioner.label_distribution(self.spec.num_classes, rng);
+        let feature_draws = 2 * self.spec.feature_dim as u64;
+        for _ in 0..size {
+            categorical(rng, &probs);
+            rng.advance(feature_draws);
+            if self.spec.label_noise > 0.0 && rng.random::<f64>() < self.spec.label_noise {
+                rng.advance(1);
+            }
+        }
     }
 
     /// Classifies features by the nearest class mean — the Bayes-optimal

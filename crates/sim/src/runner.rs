@@ -105,6 +105,34 @@ struct TrainOutput {
     rng: StdRng,
 }
 
+/// The global model as queued jobs see it: one shared `Arc` snapshot per
+/// server round, so every kickoff, idle-wake and reschedule push within a
+/// round costs a reference count instead of a parameter-vector clone. The
+/// global model changes only when an aggregation advances the round, so
+/// keying on [`BufferedServer::round`] is exact.
+struct RoundSnapshot {
+    round: u64,
+    params: Arc<Vector>,
+}
+
+impl RoundSnapshot {
+    fn new(server: &BufferedServer) -> Self {
+        Self {
+            round: server.round(),
+            params: Arc::new(server.global().clone()),
+        }
+    }
+
+    /// The current round's snapshot, refreshed if the server aggregated
+    /// since the last call.
+    fn get(&mut self, server: &BufferedServer) -> Arc<Vector> {
+        if self.round != server.round() {
+            *self = Self::new(server);
+        }
+        Arc::clone(&self.params)
+    }
+}
+
 /// Samples whether a client participates in its next cycle.
 fn participates(cfg: &SimConfig, rng: &mut StdRng) -> bool {
     if cfg.participation >= 1.0 {
@@ -405,7 +433,8 @@ impl Simulation {
             // per client up front, ~200 MB at 10⁶ clients).
             let mut queue: Box<dyn EventQueue<InFlight>> = cfg.scheduler.build();
             let mut seq = 0u64;
-            let init_base = Arc::new(server.global().clone());
+            let mut snapshot = RoundSnapshot::new(&server);
+            let init_base = snapshot.get(&server);
             for client in 0..cfg.num_clients {
                 let mut state = spawner.spawn(client);
                 let factor = state.factor;
@@ -460,7 +489,7 @@ impl Simulation {
                         let dur = latency.cycle_duration(factor, rng);
                         (dur, !participates(cfg, rng))
                     };
-                    let base = Arc::new(server.global().clone());
+                    let base = snapshot.get(&server);
                     if !idle {
                         dispatch(&mut pool, seq, client, &base, &mut job.state);
                     }
@@ -597,7 +626,7 @@ impl Simulation {
                     let dur = latency.cycle_duration(factor, rng);
                     (dur, !participates(cfg, rng))
                 };
-                let base = Arc::new(server.global().clone());
+                let base = snapshot.get(&server);
                 if !idle {
                     dispatch(&mut pool, seq, client, &base, &mut job.state);
                 }
@@ -647,6 +676,31 @@ mod tests {
     use super::*;
     use asyncfl_core::update::PassthroughFilter;
     use asyncfl_core::AsyncFilter;
+
+    #[test]
+    fn round_snapshot_is_shared_within_a_round_and_fresh_after_aggregation() {
+        let mut server = BufferedServer::new(
+            Vector::zeros(2),
+            2,
+            4,
+            Box::new(PassthroughFilter),
+            Box::new(MeanAggregator::new()),
+        );
+        let mut snapshot = RoundSnapshot::new(&server);
+        let first = snapshot.get(&server);
+        let delta = Vector::from(vec![1.0, -2.0]);
+        let update = |c| ClientUpdate::from_delta(c, 0, 0, &first, delta.clone(), 1);
+        assert!(server.receive(update(0)).is_none());
+        let same_round = snapshot.get(&server);
+        assert!(Arc::ptr_eq(&first, &same_round));
+
+        assert!(server.receive(update(1)).is_some());
+        let next_round = snapshot.get(&server);
+        assert!(!Arc::ptr_eq(&first, &next_round));
+        assert_eq!(*next_round, *server.global());
+        assert_ne!(*next_round, *first);
+        assert!(Arc::ptr_eq(&next_round, &snapshot.get(&server)));
+    }
 
     #[test]
     fn benign_run_learns() {

@@ -16,15 +16,20 @@
 //!
 //! Because the order is identical, every paper-scale golden and
 //! `tests/determinism.rs` pin holds byte-for-byte; because it is a pure
-//! function, nothing needs to stay resident. Dataset shards — the only
-//! heavy piece — are kept in a bounded, least-recently-used
-//! [`shard cache`](ClientSpawner::resident_states) and regenerated on miss,
-//! so steady-state memory is `O(cache capacity)`, not `O(num_clients)`.
-//! At paper scales the default capacity covers the whole population and
-//! behaviour (including per-pass allocation counts after warm-up) matches
-//! the old precomputed arrays; at millions of clients the cache bounds
-//! residency while training results stay bit-identical, since a
-//! regenerated shard is byte-equal to the evicted one.
+//! function, nothing needs to stay resident.
+//!
+//! Kickoff ([`ClientSpawner::spawn`]) needs only steps 1, 3 and 4, but the
+//! factor draw sits behind the dataset draws, so it replays step 2
+//! draw-only ([`Task::skip_client_dataset`]): the same RNG draws, no
+//! features generated, no shard built. Dataset shards — the only heavy
+//! piece — are built when a client first trains ([`ClientSpawner::dataset`])
+//! and kept in a bounded, least-recently-used
+//! [`shard cache`](ClientSpawner::resident_states), regenerated on miss, so
+//! steady-state memory is `O(cache capacity)`, not `O(num_clients)`. At
+//! paper scales the default capacity covers the whole population, so each
+//! shard is built once; at millions of clients the cache bounds residency
+//! while training results stay bit-identical, since a regenerated shard is
+//! byte-equal to the evicted one.
 //!
 //! The attacker set is derived once with
 //! [`select_prefix`](asyncfl_data::sampling::select_prefix) — the same
@@ -262,10 +267,9 @@ impl ClientSpawner {
             .len()
     }
 
-    /// The full per-client derivation — the pure replay of the draw order
-    /// documented on the module. Returns the in-flight state (with the
-    /// live RNG positioned after the factor draw) and the derived shard.
-    fn derive(&self, client: usize) -> (ClientState, Arc<Dataset>) {
+    /// Step 1 of the module's draw order: a fresh stream for `client` and
+    /// its partition size (the jitter draw, only when jitter is on).
+    fn begin(&self, client: usize) -> (StdRng, usize) {
         let mut rng = asyncfl_rng::stream::substream(self.seed, client as u64);
         let size = if self.partition_jitter > 0.0 {
             let factor = 1.0 + self.partition_jitter * (2.0 * rng.random::<f64>() - 1.0);
@@ -273,36 +277,48 @@ impl ClientSpawner {
         } else {
             self.partition_size
         };
+        (rng, size)
+    }
+
+    /// Step 3 of the module's draw order: the latency factor, after which
+    /// `rng` is the client's live stream.
+    fn finish(&self, client: usize, mut rng: StdRng, size: usize) -> ClientState {
+        let factor = self.latency.draw_factor(&mut rng);
+        ClientState {
+            rng: Some(rng),
+            factor,
+            size,
+            malicious: self.is_malicious(client),
+        }
+    }
+
+    /// The full per-client derivation — the pure replay of the draw order
+    /// documented on the module. Returns the in-flight state (with the
+    /// live RNG positioned after the factor draw) and the derived shard.
+    fn derive(&self, client: usize) -> (ClientState, Arc<Dataset>) {
+        let (mut rng, size) = self.begin(client);
         let mut data = self
             .task
             .client_dataset(&self.partitioner, client, size, &mut rng);
-        let factor = self.latency.draw_factor(&mut rng);
-        let malicious = self.is_malicious(client);
-        if self.poison_labels && malicious {
+        let state = self.finish(client, rng, size);
+        if self.poison_labels && state.malicious {
             data = data.with_flipped_labels();
         }
-        (
-            ClientState {
-                rng: Some(rng),
-                factor,
-                size,
-                malicious,
-            },
-            Arc::new(data),
-        )
+        (state, Arc::new(data))
     }
 
     /// Materializes `client`'s in-flight state (live RNG, latency factor,
-    /// partition size, attacker flag), warming the shard cache with its
-    /// dataset as a side effect. Called once per client, at kickoff; the
-    /// returned state then lives in the client's heap entry.
+    /// partition size, attacker flag). Called once per client, at kickoff;
+    /// the returned state then lives in the client's heap entry.
+    ///
+    /// Equal to `derive(client).0`, but draw-only: the dataset step is
+    /// replayed by [`Task::skip_client_dataset`], so no shard is built and
+    /// the shard cache is left untouched.
     pub fn spawn(&self, client: usize) -> ClientState {
-        let (state, data) = self.derive(client);
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(client, data);
-        state
+        let (mut rng, size) = self.begin(client);
+        self.task
+            .skip_client_dataset(&self.partitioner, size, &mut rng);
+        self.finish(client, rng, size)
     }
 
     /// The client's dataset shard: cache hit (one `Arc` clone, no
@@ -361,6 +377,68 @@ mod tests {
         state.check_in_rng(rng);
         assert!(state.rng_is_home());
         assert!(state.checkout_rng(3).is_ok());
+    }
+
+    /// The draw-only kickoff replay must leave every client exactly where
+    /// the full derivation does: same live RNG state, factor, size and
+    /// attacker flag — across profiles (all four draw label noise),
+    /// partitioners (Dirichlet 0.001 hits the degenerate one-hot draw),
+    /// size jitter and label poisoning — and must build no shard.
+    #[test]
+    fn spawn_replays_the_full_derivation_without_building_shards() {
+        // Spawner seed 887 puts a degenerate Dirichlet(0.001) draw among
+        // clients 0..24 both with and without the jitter draw in front.
+        const SEED: u64 = 887;
+        let degenerate = |client: usize, jitter: f64, classes: usize| {
+            let mut rng = asyncfl_rng::stream::substream(SEED, client as u64);
+            if jitter > 0.0 {
+                let _ = rng.random::<f64>();
+            }
+            let gammas: Vec<f64> = (0..classes)
+                .map(|_| asyncfl_rng::dist::gamma(&mut rng, 0.001))
+                .collect();
+            gammas.iter().sum::<f64>() <= 0.0
+        };
+        let partitioners = [
+            Partitioner::iid(),
+            Partitioner::dirichlet(0.1),
+            Partitioner::dirichlet(0.5),
+            Partitioner::dirichlet(0.001),
+        ];
+        for profile in DatasetProfile::ALL {
+            let mut master = StdRng::seed_from_u64(11);
+            let task = Arc::new(profile.build_task(&mut master));
+            for partitioner in &partitioners {
+                for jitter in [0.0, 0.3] {
+                    assert!((0..24).any(|c| degenerate(c, jitter, task.num_classes())));
+                    for poison in [false, true] {
+                        let mut spawner = ClientSpawner::new(
+                            SEED,
+                            24,
+                            partitioner.clone(),
+                            6,
+                            jitter,
+                            LatencyModel::zipf(1.2, 4),
+                            Arc::clone(&task),
+                            vec![2, 7, 19],
+                            64,
+                        );
+                        if poison {
+                            spawner.set_poison_labels();
+                        }
+                        for c in 0..24 {
+                            assert_eq!(
+                                spawner.spawn(c),
+                                spawner.derive(c).0,
+                                "{profile:?} {partitioner:?} jitter {jitter} \
+                                 poison {poison} client {c}"
+                            );
+                        }
+                        assert_eq!(spawner.resident_states(), 0);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
