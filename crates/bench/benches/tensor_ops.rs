@@ -1,5 +1,7 @@
 //! Micro-benchmarks for the dense kernels everything else is built on.
 
+use asyncfl_rng::rngs::StdRng;
+use asyncfl_rng::{RngExt, SeedableRng};
 use asyncfl_tensor::{stats, Vector};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -43,6 +45,15 @@ fn bench_robust_stats(c: &mut Criterion) {
             bench.iter(|| black_box(stats::trimmed_mean_vector(&vectors, n / 4)))
         });
     }
+    // AsyncFilter's new-group bootstrap at the million-client workload's
+    // Ω = 8192 on the MNIST-profile model: continuous values, few ties.
+    let mut rng = StdRng::seed_from_u64(0);
+    let wide: Vec<Vector> = (0..8192)
+        .map(|_| Vector::from_fn(330, |_| rng.random::<f64>() - 0.5))
+        .collect();
+    group.bench_function("trimmed_mean/8192x330", |bench| {
+        bench.iter(|| black_box(stats::trimmed_mean_vector(&wide, 8192 / 4)))
+    });
     group.finish();
 }
 

@@ -223,17 +223,16 @@ pub struct NormPathCounts {
     pub rereduced: u64,
 }
 
-/// Coordinate-wise 25%-trimmed mean used to bootstrap new-group estimates.
-/// Borrows the parameter vectors — no update is cloned. Empty input (never
-/// produced by the callers) yields an empty vector.
-fn robust_bootstrap<'a, I>(params: I) -> Vector
+/// Coordinate-wise 25%-trimmed mean of the `count` vectors in `params`,
+/// used to bootstrap new-group estimates. Borrows the parameter vectors —
+/// no update is cloned. Empty input (never produced by the callers) yields
+/// an empty vector.
+fn robust_bootstrap<'a, I>(params: I, count: usize) -> Vector
 where
     I: IntoIterator<Item = &'a Vector>,
 {
-    let params: Vec<&Vector> = params.into_iter().collect();
-    let trim = params.len() / 4;
-    asyncfl_tensor::stats::trimmed_mean_vector(params.iter().copied(), trim)
-        .unwrap_or_else(|| Vector::zeros(params.first().map_or(0, |p| p.len())))
+    asyncfl_tensor::stats::trimmed_mean_vector(params, count / 4)
+        .unwrap_or_else(|| Vector::zeros(0))
 }
 
 /// Per-staleness-group moving-average state.
@@ -479,10 +478,13 @@ impl AsyncFilter {
                         .zip(updates)
                         .filter(|(&k, _)| k == key)
                         .map(|(_, u)| &u.params),
+                    members,
                 )
             } else {
                 buffer_median
-                    .get_or_insert_with(|| robust_bootstrap(updates.iter().map(|u| &u.params)))
+                    .get_or_insert_with(|| {
+                        robust_bootstrap(updates.iter().map(|u| &u.params), updates.len())
+                    })
                     .clone()
             };
             let norm_sq = est.norm_squared();
@@ -566,39 +568,42 @@ impl UpdateFilter for AsyncFilter {
             return outcome;
         }
 
-        // Sanitize: non-finite parameters are trivially poisoned. All-finite
+        // Sanitize: non-finite parameters are trivially poisoned, and a
+        // wrong-dimension update can be neither scored nor averaged. Clean
         // buffers (the steady state) keep their Vec as-is; the partition
         // allocation only happens when something is actually broken.
-        let (mut finite, broken): (Vec<ClientUpdate>, Vec<ClientUpdate>) =
-            if updates.iter().all(|u| u.params.is_finite()) {
+        let dim = ctx.global_params.len();
+        let admissible = |u: &ClientUpdate| u.params.len() == dim && u.params.is_finite();
+        let (mut admitted, broken): (Vec<ClientUpdate>, Vec<ClientUpdate>) =
+            if updates.iter().all(admissible) {
                 (updates, Vec::new())
             } else {
-                updates.into_iter().partition(|u| u.params.is_finite())
+                updates.into_iter().partition(admissible)
             };
         outcome.rejected.extend(broken);
 
-        if finite.len() < self.config.min_updates {
+        if admitted.len() < self.config.min_updates {
             // Too few points to cluster meaningfully; absorb and accept.
             // (No arrival-dot recovery on this rare tiny-buffer path — the
             // identity mode simply re-reduces here.)
-            for u in &finite {
+            for u in &admitted {
                 let key = self.group_key(u.staleness);
                 self.absorb(key, &u.params, u.params_norm_squared(), None);
             }
-            outcome.accepted.append(&mut finite);
+            outcome.accepted.append(&mut admitted);
             self.emit_counters(ctx);
             self.recycle_pending(pending);
             return outcome;
         }
 
-        let n = finite.len();
+        let n = admitted.len();
         let mut scr = std::mem::take(&mut self.scratch);
 
         // Eq. 4: per-update staleness-bucket keys plus the sorted unique
         // key list. (The batch engine built a `BTreeMap<u64, Vec<usize>>`
         // here — fresh node and member-vector allocations every pass.)
         scr.keys.clear();
-        for u in &finite {
+        for u in &admitted {
             let key = self.group_key(u.staleness);
             scr.keys.push(key);
         }
@@ -618,7 +623,7 @@ impl UpdateFilter for AsyncFilter {
         scr.cached.resize(n, None);
         {
             let mut pi = 0;
-            for (i, u) in finite.iter().enumerate() {
+            for (i, u) in admitted.iter().enumerate() {
                 while pi < pending.len() {
                     // lint:allow(P2) -- pi < pending.len() checked above
                     let e = &pending[pi];
@@ -640,7 +645,10 @@ impl UpdateFilter for AsyncFilter {
         // Estimates to score against (pre-update; see module docs): live
         // groups are borrowed in place, history-less groups bootstrapped
         // from the current buffer. `ests` is aligned with `scr.uniq`.
-        let boot = self.bootstrap_estimates(&scr.uniq, &scr.keys, &finite);
+        let boot = {
+            let _span = Span::start(ctx.sink, "filter_bootstrap");
+            self.bootstrap_estimates(&scr.uniq, &scr.keys, &admitted)
+        };
         let groups = &self.groups;
         let mut ests: Vec<(&Vector, f64, bool)> = Vec::with_capacity(scr.uniq.len());
         {
@@ -670,7 +678,7 @@ impl UpdateFilter for AsyncFilter {
         let mut computed: u64 = 0;
         for (gi, &key) in scr.uniq.iter().enumerate() {
             let (own, own_norm_sq, live) = ests[gi]; // lint:allow(P2) -- ests is aligned with uniq
-            for (i, u) in finite.iter().enumerate() {
+            for (i, u) in admitted.iter().enumerate() {
                 // lint:allow(P2) -- keys/cached/dist_sq are all sized to n
                 if scr.keys[i] != key {
                     continue;
@@ -778,7 +786,7 @@ impl UpdateFilter for AsyncFilter {
                     scr.cross.resize(g * n, 0.0);
                     for (gi, &key) in scr.uniq.iter().enumerate() {
                         let (ma, ma_norm_sq, live) = ests[gi]; // lint:allow(P2) -- aligned with uniq
-                        for (i, u) in finite.iter().enumerate() {
+                        for (i, u) in admitted.iter().enumerate() {
                             // lint:allow(P2) -- keys/cached/dist_sq/cross sized to n and g·n
                             let v = if scr.keys[i] == key {
                                 scr.dist_sq[i] // lint:allow(P2) -- dist_sq sized to n
@@ -823,7 +831,7 @@ impl UpdateFilter for AsyncFilter {
             }
         }
 
-        for ((u, &key), &score) in finite.iter().zip(&scr.keys).zip(&scr.scores) {
+        for ((u, &key), &score) in admitted.iter().zip(&scr.keys).zip(&scr.scores) {
             self.last_scores.push(ScoreRecord {
                 client: u.client,
                 staleness: u.staleness,
@@ -878,7 +886,7 @@ impl UpdateFilter for AsyncFilter {
         // them into the moving average would poison the reference and erase
         // the very separation the gate is waiting for.
         scr.absorbed_keys.clear();
-        for (i, (u, &a)) in finite.iter().zip(&clustering.assignments).enumerate() {
+        for (i, (u, &a)) in admitted.iter().zip(&clustering.assignments).enumerate() {
             if !(degenerate || a != reject_cluster) {
                 continue;
             }
@@ -914,11 +922,11 @@ impl UpdateFilter for AsyncFilter {
         self.emit_counters(ctx);
 
         if degenerate || gated {
-            outcome.accepted.extend(finite);
+            outcome.accepted.extend(admitted);
             return outcome;
         }
 
-        for (u, &c) in finite.into_iter().zip(&clustering.assignments) {
+        for (u, &c) in admitted.into_iter().zip(&clustering.assignments) {
             if c == reject_cluster {
                 outcome.rejected.push(u);
             } else if c == accept_cluster {
@@ -948,9 +956,10 @@ impl UpdateFilter for AsyncFilter {
     /// `filter_distances_computed` counter is bumped here, at arrival, so
     /// per-emission deltas show where the work actually runs.
     fn on_buffered(&mut self, update: &ClientUpdate, ctx: &FilterContext<'_>) {
-        // Non-finite updates are partitioned out before scoring; recording
-        // no entry keeps the pending list aligned with the finite batch.
-        if !update.params.is_finite() {
+        // Non-finite and wrong-dimension updates are partitioned out before
+        // scoring; recording no entry keeps the pending list aligned with
+        // the admitted batch.
+        if update.params.len() != ctx.global_params.len() || !update.params.is_finite() {
             return;
         }
         let key = self.group_key(update.staleness);

@@ -445,6 +445,37 @@ mod tests {
     }
 
     #[test]
+    fn wrong_dimension_update_is_rejected_not_a_panic() {
+        // A one-parameter update against a two-parameter model, buffered
+        // first (it once reached the eq. 6 dot-product length assert) and
+        // last (the bootstrap's trimmed mean indexed past its end).
+        for short_at in [0, 7] {
+            let mut s = BufferedServer::new(
+                Vector::zeros(2),
+                8,
+                20,
+                Box::new(AsyncFilter::default()),
+                Box::new(MeanAggregator::new()),
+            );
+            let mut report = None;
+            for i in 0..8 {
+                let u = if i == short_at {
+                    upd(i, 0, &[1.0]).with_truth_malicious(true)
+                } else {
+                    upd(i, 0, &[1.0 + 0.001 * i as f64, 1.0])
+                };
+                report = s.receive(u);
+            }
+            let report = report.expect("bound reached");
+            assert_eq!(report.accepted + report.rejected + report.deferred, 8);
+            assert!(report.rejected >= 1, "short_at={short_at}: {report:?}");
+            assert_eq!(s.detection().true_positives, 1, "short_at={short_at}");
+            assert_eq!(s.global().len(), 2);
+            assert!(s.global().is_finite());
+        }
+    }
+
+    #[test]
     fn detection_stats_flow_through() {
         let mut s = BufferedServer::new(
             Vector::zeros(1),
@@ -675,10 +706,17 @@ mod tests {
                 ..
             } if score.is_finite() && *score > 0.0
         )));
+        let spans: Vec<&str> = mem
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanClosed { name, .. } => Some(*name),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            mem.count_kind("span_closed"),
-            3,
-            "filter + kmeans + aggregate"
+            spans,
+            ["filter_bootstrap", "kmeans_1d", "filter", "aggregate"]
         );
     }
 

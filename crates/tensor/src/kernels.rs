@@ -21,7 +21,8 @@
 //! # SIMD-width dispatch
 //!
 //! The distance kernels (`dot`, `norm_squared`, `distance_squared`,
-//! `lerp_norm_squared`) additionally go through runtime ISA dispatch on
+//! `lerp_norm_squared`) and the 1-D k-means DP cell (`kmeans_dp_argmin`)
+//! additionally go through runtime ISA dispatch on
 //! x86-64: the portable `*_impl` body is compiled once per instruction-set
 //! level (baseline / AVX2 / AVX-512F) via `#[target_feature]` wrappers,
 //! and the level is detected once and cached. This changes *register
@@ -158,7 +159,98 @@ pub(crate) fn lerp_norm_squared(a: &mut [f64], b: &[f64], t: f64) -> f64 {
     dispatch::lerp_norm_squared(a, b, t)
 }
 
-/// Runtime ISA dispatch for the distance kernels (x86-64): the portable
+/// Portable body of [`kmeans_dp_argmin`]. Lane `l` scans the candidates
+/// `m ≡ lo + l (mod LANES)` and keeps its own first minimum under strict
+/// `<`; the merge then takes the smallest value, ties going to the
+/// smallest index, which is exactly the first minimum of one strict-`<`
+/// scan over `lo..j`. Every cell is the scalar formula verbatim, so only
+/// the scan order of independent cells changes, never a value.
+#[inline(always)]
+fn kmeans_dp_argmin_impl(
+    prev: &[f64],
+    pref: &[f64],
+    pref_sq: &[f64],
+    lo: usize,
+    j: usize,
+) -> (f64, usize) {
+    let (pj, qj) = (pref[j], pref_sq[j]);
+    let (prev, pref, pref_sq) = (&prev[lo..j], &pref[lo..j], &pref_sq[lo..j]);
+    let mut best = [f64::INFINITY; LANES];
+    // Interval length `j − m` of each lane's current candidate, stepped
+    // down by `LANES` per block: exact, since both are integers < 2⁵³, so
+    // it equals the scalar `(j − m) as f64` bit for bit. Each lane's
+    // argmin is kept as its length too, so the select stays in f64 lanes.
+    let mut len = [0.0_f64; LANES];
+    for (l, x) in len.iter_mut().enumerate() {
+        *x = (j - lo).saturating_sub(l) as f64;
+    }
+    let mut best_len = len;
+    let mut cv = prev.chunks_exact(LANES);
+    let mut cp = pref.chunks_exact(LANES);
+    let mut cq = pref_sq.chunks_exact(LANES);
+    for ((xv, xp), xq) in (&mut cv).zip(&mut cp).zip(&mut cq) {
+        for l in 0..LANES {
+            let s = pj - xp[l];
+            let cost = xv[l] + ((qj - xq[l]) - s * s / len[l]).max(0.0);
+            let better = cost < best[l];
+            best[l] = if better { cost } else { best[l] };
+            best_len[l] = if better { len[l] } else { best_len[l] };
+            len[l] -= LANES as f64;
+        }
+    }
+    let mut min = (f64::INFINITY, 0);
+    for l in 0..LANES {
+        let m = j - best_len[l] as usize;
+        // A lane that never went below +∞ holds no candidate.
+        if best[l] < min.0 || (best[l] == min.0 && best[l] < f64::INFINITY && m < min.1) {
+            min = (best[l], m);
+        }
+    }
+    // The tail's indices exceed every lane's, so a strict-`<` scan
+    // continuing from the merged minimum keeps the first minimum.
+    let tail_lo = j - cv.remainder().len();
+    let tail = cv
+        .remainder()
+        .iter()
+        .zip(cp.remainder())
+        .zip(cq.remainder());
+    for (i, ((v, p), q)) in tail.enumerate() {
+        let m = tail_lo + i;
+        let s = pj - p;
+        let cost = v + ((qj - q) - s * s / (j - m) as f64).max(0.0);
+        if cost < min.0 {
+            min = (cost, m);
+        }
+    }
+    min
+}
+
+/// One cell of the exact 1-D k-means dynamic program: the first minimum
+/// `(value, m)` of `prev[m] + cost(m, j)` over `m ∈ lo..j`, where
+/// `cost(m, j) = ((pref_sq[j] − pref_sq[m]) − s·s/(j − m)).max(0.0)` with
+/// `s = pref[j] − pref[m]` is the within-cluster sum of squares of the
+/// sorted points `m..j` from their prefix sums.
+///
+/// "First" means the smallest `m` among equal minima — the result of a
+/// strict-`<` scan seeded with `(+∞, 0)`, which is also what comes back
+/// when no candidate is below `+∞`. Bit-identical to that scalar scan at
+/// every ISA level (see the module docs on SIMD-width dispatch).
+///
+/// # Panics
+///
+/// Panics if `lo > j` or `j` is out of bounds for any of the three slices.
+#[inline]
+pub fn kmeans_dp_argmin(
+    prev: &[f64],
+    pref: &[f64],
+    pref_sq: &[f64],
+    lo: usize,
+    j: usize,
+) -> (f64, usize) {
+    dispatch::kmeans_dp_argmin(prev, pref, pref_sq, lo, j)
+}
+
+/// Runtime ISA dispatch for the distance and DP kernels (x86-64): the portable
 /// `*_impl` bodies are recompiled per instruction-set level through
 /// `#[target_feature]` wrappers — wider registers, same source, same
 /// fixed reduction tree, bit-identical results. The `unsafe` here is
@@ -167,7 +259,10 @@ pub(crate) fn lerp_norm_squared(a: &mut [f64], b: &[f64], t: f64) -> f64 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod dispatch {
-    use super::{distance_squared_impl, dot_impl, lerp_norm_squared_impl, norm_squared_impl};
+    use super::{
+        distance_squared_impl, dot_impl, kmeans_dp_argmin_impl, lerp_norm_squared_impl,
+        norm_squared_impl,
+    };
     use std::sync::OnceLock;
 
     /// Detected level, cached once per process: 0 = baseline (whatever
@@ -252,6 +347,70 @@ mod dispatch {
             _ => lerp_norm_squared_impl(a, b, t),
         }
     }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn kmeans_dp_argmin_avx2(
+        prev: &[f64],
+        pref: &[f64],
+        pref_sq: &[f64],
+        lo: usize,
+        j: usize,
+    ) -> (f64, usize) {
+        kmeans_dp_argmin_impl(prev, pref, pref_sq, lo, j)
+    }
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn kmeans_dp_argmin_avx512(
+        prev: &[f64],
+        pref: &[f64],
+        pref_sq: &[f64],
+        lo: usize,
+        j: usize,
+    ) -> (f64, usize) {
+        kmeans_dp_argmin_impl(prev, pref, pref_sq, lo, j)
+    }
+    pub(super) fn kmeans_dp_argmin(
+        prev: &[f64],
+        pref: &[f64],
+        pref_sq: &[f64],
+        lo: usize,
+        j: usize,
+    ) -> (f64, usize) {
+        match level() {
+            // SAFETY: level() verified the feature on this CPU.
+            2 => unsafe { kmeans_dp_argmin_avx512(prev, pref, pref_sq, lo, j) },
+            1 => unsafe { kmeans_dp_argmin_avx2(prev, pref, pref_sq, lo, j) },
+            _ => kmeans_dp_argmin_impl(prev, pref, pref_sq, lo, j),
+        }
+    }
+
+    /// Every body of [`super::kmeans_dp_argmin`] this CPU can run,
+    /// baseline first — the explicit per-level calls the dispatched
+    /// entry point would only ever make one of.
+    #[cfg(test)]
+    pub(super) fn kmeans_dp_argmin_each_level(
+        prev: &[f64],
+        pref: &[f64],
+        pref_sq: &[f64],
+        lo: usize,
+        j: usize,
+    ) -> Vec<(f64, usize)> {
+        let mut out = vec![kmeans_dp_argmin_impl(prev, pref, pref_sq, lo, j)];
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on this CPU just above.
+            out.push(unsafe { kmeans_dp_argmin_avx2(prev, pref, pref_sq, lo, j) });
+        }
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F was detected on this CPU just above.
+            out.push(unsafe { kmeans_dp_argmin_avx512(prev, pref, pref_sq, lo, j) });
+        }
+        out
+    }
 }
 
 /// Non-x86-64 targets: the portable bodies *are* the dispatch.
@@ -259,8 +418,21 @@ mod dispatch {
 mod dispatch {
     pub(super) use super::distance_squared_impl as distance_squared;
     pub(super) use super::dot_impl as dot;
+    pub(super) use super::kmeans_dp_argmin_impl as kmeans_dp_argmin;
     pub(super) use super::lerp_norm_squared_impl as lerp_norm_squared;
     pub(super) use super::norm_squared_impl as norm_squared;
+
+    /// The portable body is the only level on this target.
+    #[cfg(test)]
+    pub(super) fn kmeans_dp_argmin_each_level(
+        prev: &[f64],
+        pref: &[f64],
+        pref_sq: &[f64],
+        lo: usize,
+        j: usize,
+    ) -> Vec<(f64, usize)> {
+        vec![super::kmeans_dp_argmin_impl(prev, pref, pref_sq, lo, j)]
+    }
 }
 
 /// Plain sum `Σ aᵢ`.
@@ -594,6 +766,72 @@ mod tests {
             assert_eq!(fast_n.to_bits(), slow_n.to_bits(), "n={n}");
             for (x, y) in fast.iter().zip(&slow) {
                 assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
+            }
+        }
+    }
+
+    /// The strict-`<` scan `kmeans_dp_argmin` replaces, cell for cell.
+    fn kmeans_dp_argmin_scan(
+        prev: &[f64],
+        pref: &[f64],
+        pref_sq: &[f64],
+        lo: usize,
+        j: usize,
+    ) -> (f64, usize) {
+        let mut min = (f64::INFINITY, 0);
+        for m in lo..j {
+            let len = (j - m) as f64;
+            let s = pref[j] - pref[m];
+            let cost = prev[m] + ((pref_sq[j] - pref_sq[m]) - s * s / len).max(0.0);
+            if cost < min.0 {
+                min = (cost, m);
+            }
+        }
+        min
+    }
+
+    #[test]
+    fn kmeans_dp_argmin_levels_are_bit_identical_to_the_scalar_scan() {
+        // Prefix sums of continuous, few-level (exactly tied costs) and
+        // overflowing (∞ − ∞ cells) inputs, with a DP row that holds
+        // repeated values and +∞. Every (lo, j) window length from empty
+        // through several lane blocks plus each tail length is covered.
+        let n = 80;
+        let inputs: [Vec<f64>; 3] = [
+            (0..n).map(|i| (i as f64 * 0.37).sin()).collect(),
+            (0..n).map(|i| f64::from(i as u32 % 3)).collect(),
+            (0..n)
+                .map(|i| if i % 7 == 3 { 1e200 } else { 0.5 })
+                .collect(),
+        ];
+        for xs in &inputs {
+            let mut pref = vec![0.0; n + 1];
+            let mut pref_sq = vec![0.0; n + 1];
+            for i in 0..n {
+                pref[i + 1] = pref[i] + xs[i];
+                pref_sq[i + 1] = pref_sq[i] + xs[i] * xs[i];
+            }
+            let prev: Vec<f64> = (0..=n)
+                .map(|m| match m % 11 {
+                    0 => f64::INFINITY,
+                    1 | 2 => 0.25,
+                    _ => (m as f64 * 0.11).cos().abs(),
+                })
+                .collect();
+            for lo in [0, 1, 3, 8] {
+                for j in lo..=n {
+                    let want = kmeans_dp_argmin_scan(&prev, &pref, &pref_sq, lo, j);
+                    let levels =
+                        dispatch::kmeans_dp_argmin_each_level(&prev, &pref, &pref_sq, lo, j);
+                    let got = kmeans_dp_argmin(&prev, &pref, &pref_sq, lo, j);
+                    for (level, r) in levels.iter().chain(std::iter::once(&got)).enumerate() {
+                        assert_eq!(
+                            (r.0.to_bits(), r.1),
+                            (want.0.to_bits(), want.1),
+                            "level {level} lo={lo} j={j}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -119,8 +119,11 @@ pub fn median_vector(vectors: &[Vector]) -> Option<Vector> {
 ///
 /// Returns `None` for an empty collection.
 ///
-/// NaNs sort to the high end under `total_cmp`, so they land in the trimmed
-/// tail whenever `trim > 0`.
+/// Values are ordered by `f64::total_cmp`, so NaNs sort to the high end
+/// (negative-signed NaNs to the low end) and land in the trimmed tails
+/// whenever `trim > 0`. Each coordinate costs two selections plus a sort of
+/// the kept middle only, and that middle is summed in ascending order — the
+/// exact result of sorting the whole column and summing its middle.
 ///
 /// # Panics
 ///
@@ -132,23 +135,52 @@ where
 {
     let vectors: Vec<&Vector> = vectors.into_iter().collect();
     let first = vectors.first()?;
+    let n = vectors.len();
     assert!(
-        2 * trim < vectors.len(),
-        "trimmed_mean: trim {trim} leaves no samples out of {}",
-        vectors.len()
+        2 * trim < n,
+        "trimmed_mean: trim {trim} leaves no samples out of {n}"
     );
     let dim = first.len();
-    let mut column = vec![0.0; vectors.len()];
+    let kept = n - 2 * trim;
+    let mut keys = vec![0u64; n];
     let mut out = Vector::zeros(dim);
-    let kept = vectors.len() - 2 * trim;
     for (d, o) in out.iter_mut().enumerate() {
-        for (c, v) in column.iter_mut().zip(vectors.iter()) {
-            *c = v[d]; // lint:allow(P2) -- equal dims are this function's documented contract
+        for (k, v) in keys.iter_mut().zip(&vectors) {
+            *k = order_key(v[d]); // lint:allow(P2) -- equal dims are this function's documented contract
         }
-        column.sort_by(f64::total_cmp);
-        *o = kernels::sum_seq(column.iter().skip(trim).take(kept).copied()) / kept as f64;
+        if trim > 0 {
+            // The `trim` largest keys to the top, then the `trim` smallest
+            // of the rest to the bottom.
+            keys.select_nth_unstable(n - trim);
+            // lint:allow(P2) -- 2·trim < n (asserted above), so trim < n − trim ≤ n
+            keys[..n - trim].select_nth_unstable(trim);
+        }
+        // lint:allow(P2) -- 2·trim < n (asserted above)
+        let middle = &mut keys[trim..n - trim];
+        // Equal keys are equal bit patterns, so an unstable sort leaves
+        // the same sequence as a stable one.
+        middle.sort_unstable();
+        *o = kernels::sum_seq(middle.iter().map(|&k| from_order_key(k))) / kept as f64;
     }
     Some(out)
+}
+
+/// Maps `x` to a `u64` whose unsigned order is `f64::total_cmp` order:
+/// flip every bit of a negative value (so larger magnitudes sort lower)
+/// and only the sign bit of a positive one (so it sorts above every
+/// negative).
+#[inline]
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    let sign_fill = ((bits as i64) >> 63) as u64;
+    bits ^ (sign_fill | (1 << 63))
+}
+
+/// Inverse of [`order_key`].
+#[inline]
+fn from_order_key(k: u64) -> f64 {
+    let negative_fill = (((!k) as i64) >> 63) as u64;
+    f64::from_bits(k ^ (negative_fill | (1 << 63)))
 }
 
 /// Weighted mean of vectors with the given nonnegative weights.
@@ -248,6 +280,104 @@ mod tests {
         let z = weighted_mean_vector(&vs, &[0.0, 0.0]).unwrap();
         assert_eq!(z[0], 0.0);
         assert_eq!(weighted_mean_vector(&[], &[]), None);
+    }
+
+    /// The sort-everything trimmed mean `trimmed_mean_vector` replaced:
+    /// a stable `total_cmp` sort per coordinate, middle summed in order.
+    fn trimmed_mean_by_sorting(vectors: &[Vector], trim: usize) -> Vector {
+        let n = vectors.len();
+        let mut out = Vector::zeros(vectors[0].len());
+        for (d, o) in out.iter_mut().enumerate() {
+            let mut column: Vec<f64> = vectors.iter().map(|v| v[d]).collect();
+            column.sort_by(f64::total_cmp);
+            *o = kernels::sum_seq(column.iter().skip(trim).take(n - 2 * trim).copied())
+                / (n - 2 * trim) as f64;
+        }
+        out
+    }
+
+    /// Signed zeros, subnormals, infinities, NaNs with both signs and
+    /// distinct payloads, extremes and ordinary values.
+    fn awkward_values() -> Vec<f64> {
+        vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_dead_beef),
+            f64::from_bits(0x7ff8_0000_0000_002a),
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            0.1,
+            -2.5,
+            1e-300,
+            -7e300,
+        ]
+    }
+
+    #[test]
+    fn order_key_sorts_like_total_cmp_and_round_trips() {
+        let mut xs = awkward_values();
+        xs.extend((0..64).map(|i| (f64::from(i) * 1.7).sin() * 10f64.powi(i % 9 - 4)));
+        for &a in &xs {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            for &b in &xs {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trimmed_mean_matches_full_sort_bitwise() {
+        // Every n in 1..=40 at every legal trim, over columns mixing the
+        // awkward values with duplicates and ordinary values; NaN and ∞
+        // results must carry the same bits too.
+        let pool = awkward_values();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in 1..=40 {
+            let vectors: Vec<Vector> = (0..n)
+                .map(|_| {
+                    Vector::from_fn(12, |d| match next() % 4 {
+                        // Coordinate 0 draws from a few values only, so its
+                        // column is full of exact duplicates.
+                        _ if d == 0 => f64::from((next() % 3) as u32) - 1.0,
+                        0 | 1 => pool[(next() % pool.len() as u64) as usize],
+                        _ => (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+                    })
+                })
+                .collect();
+            for trim in 0..=(n - 1) / 2 {
+                let fast = trimmed_mean_vector(&vectors, trim).unwrap();
+                let reference = trimmed_mean_by_sorting(&vectors, trim);
+                for (a, b) in fast.iter().zip(reference.iter()) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "n={n} trim={trim}: {a:e} vs {b:e}"
+                    );
+                }
+            }
+        }
     }
 
     proptest! {
