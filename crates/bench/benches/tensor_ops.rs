@@ -54,6 +54,16 @@ fn bench_robust_stats(c: &mut Criterion) {
     group.bench_function("trimmed_mean/8192x330", |bench| {
         bench.iter(|| black_box(stats::trimmed_mean_vector(&wide, 8192 / 4)))
     });
+    // The server_wide workload's mean aggregation: Ω = 32 deltas of
+    // 131 072 parameters folded into the global model block by block.
+    let global = Vector::from_fn(131_072, |_| rng.random::<f64>() - 0.5);
+    let deltas: Vec<Vector> = (0..32)
+        .map(|_| Vector::from_fn(131_072, |_| rng.random::<f64>() - 0.5))
+        .collect();
+    let weights: Vec<f64> = (1..=32).map(f64::from).collect();
+    group.bench_function("weighted_mean/32x131072", |bench| {
+        bench.iter(|| black_box(stats::weighted_mean_vector(&global, &deltas, &weights)))
+    });
     group.finish();
 }
 

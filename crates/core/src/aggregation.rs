@@ -75,18 +75,12 @@ impl Aggregator for MeanAggregator {
     }
 
     fn aggregate(&mut self, updates: &[ClientUpdate], global: &Vector) -> Vector {
-        if updates.is_empty() {
-            return global.clone();
-        }
         let weights: Vec<f64> = updates
             .iter()
             .map(|u| u.num_samples as f64 * self.staleness.weight(u.staleness))
             .collect();
-        let deltas: Vec<Vector> = updates.iter().map(|u| u.delta.clone()).collect();
-        match stats::weighted_mean_vector(&deltas, &weights) {
-            Some(mean) => global + &mean,
-            None => global.clone(),
-        }
+        stats::weighted_mean_vector(global, updates.iter().map(|u| &u.delta), &weights)
+            .unwrap_or_else(|| global.clone())
     }
 }
 
@@ -100,8 +94,7 @@ impl Aggregator for MedianAggregator {
     }
 
     fn aggregate(&mut self, updates: &[ClientUpdate], global: &Vector) -> Vector {
-        let deltas: Vec<Vector> = updates.iter().map(|u| u.delta.clone()).collect();
-        match stats::median_vector(&deltas) {
+        match stats::median_vector(updates.iter().map(|u| &u.delta)) {
             Some(m) => global + &m,
             None => global.clone(),
         }
@@ -340,6 +333,94 @@ mod tests {
             discounted[0],
             uniform[0]
         );
+    }
+
+    /// The mean aggregation `MeanAggregator` used before it went blocked
+    /// and clone-free: clone every delta, accumulate the normalized
+    /// weights into a zero vector (left zero when the total weight is at
+    /// most zero), then add that mean to `global`.
+    fn mean_by_cloning(rule: &MeanAggregator, updates: &[ClientUpdate], global: &Vector) -> Vector {
+        let weights: Vec<f64> = updates
+            .iter()
+            .map(|u| u.num_samples as f64 * rule.staleness.weight(u.staleness))
+            .collect();
+        let deltas: Vec<Vector> = updates.iter().map(|u| u.delta.clone()).collect();
+        let total = sum_seq(weights.iter().copied());
+        let mut mean = Vector::zeros(global.len());
+        if total <= 0.0 {
+            return global + &mean;
+        }
+        for (d, &w) in deltas.iter().zip(&weights) {
+            mean.axpy(w / total, d);
+        }
+        global + &mean
+    }
+
+    #[test]
+    fn blocked_mean_matches_clone_then_axpy_bitwise() {
+        const BLOCK: usize = stats::WEIGHTED_MEAN_BLOCK;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut value = move |d: usize| match next() % 16 {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::from_bits(1 + (d as u64 % 7)),
+            3 => -1e-300,
+            _ => (next() >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0,
+        };
+        let rules = [
+            MeanAggregator::new(),
+            MeanAggregator::with_polynomial_staleness(0.5),
+        ];
+        for dim in [1, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 131_072] {
+            let global = Vector::from_fn(dim, &mut value);
+            let updates: Vec<ClientUpdate> = (0..5u64)
+                .map(|i| {
+                    let delta = Vector::from_fn(dim, &mut value);
+                    let samples = 1 + (i as usize * 37) % 11;
+                    ClientUpdate::from_delta(i as usize, 0, i * 3, &global, delta, samples)
+                })
+                .collect();
+            // Zero total weight leaves `global + 0.0`, which turns every
+            // −0.0 in `global` into +0.0.
+            let weightless: Vec<ClientUpdate> = updates
+                .iter()
+                .cloned()
+                .map(|mut u| {
+                    u.num_samples = 0;
+                    u
+                })
+                .collect();
+            let mut negative_zero = global.clone();
+            negative_zero.as_mut_slice()[0] = -0.0;
+            let cases = [
+                (&updates, &global),
+                (&weightless, &global),
+                (&weightless, &negative_zero),
+            ];
+            for rule in rules {
+                for (batch, g) in cases {
+                    let blocked = run(rule, batch, g);
+                    let reference = mean_by_cloning(&rule, batch, g);
+                    assert_eq!(blocked.len(), dim);
+                    for (j, (a, b)) in blocked.iter().zip(reference.iter()).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "dim={dim} {:?} coord {j}: {a:e} vs {b:e}",
+                            rule.staleness
+                        );
+                    }
+                }
+            }
+            let zeroed = run(MeanAggregator::new(), &weightless, &negative_zero);
+            assert_eq!(zeroed[0].to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

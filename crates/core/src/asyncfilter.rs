@@ -573,7 +573,7 @@ impl UpdateFilter for AsyncFilter {
         // buffers (the steady state) keep their Vec as-is; the partition
         // allocation only happens when something is actually broken.
         let dim = ctx.global_params.len();
-        let admissible = |u: &ClientUpdate| u.params.len() == dim && u.params.is_finite();
+        let admissible = |u: &ClientUpdate| u.params.len() == dim && u.params_finite();
         let (mut admitted, broken): (Vec<ClientUpdate>, Vec<ClientUpdate>) =
             if updates.iter().all(admissible) {
                 (updates, Vec::new())
@@ -581,6 +581,31 @@ impl UpdateFilter for AsyncFilter {
                 updates.into_iter().partition(admissible)
             };
         outcome.rejected.extend(broken);
+        // A finite update whose ‖ω‖² overflowed (a coordinate ≳ 1e154)
+        // passes that screen, but its eq. 6 distance to any estimate is
+        // then ∞ or NaN, which eq. 7 cannot normalize and 3-means cannot
+        // place. It is as far from every estimate as a float can say, so
+        // it is rejected with an infinite score and kept out of the
+        // bootstrap, the normalization and the clustering.
+        if admitted
+            .iter()
+            .any(|u| !u.params_norm_squared().is_finite())
+        {
+            let (scorable, overflowed): (Vec<ClientUpdate>, Vec<ClientUpdate>) = admitted
+                .into_iter()
+                .partition(|u| u.params_norm_squared().is_finite());
+            admitted = scorable;
+            for u in overflowed {
+                self.last_scores.push(ScoreRecord {
+                    client: u.client,
+                    staleness: u.staleness,
+                    group: self.group_key(u.staleness),
+                    score: f64::INFINITY,
+                    truth_malicious: u.truth_malicious,
+                });
+                outcome.rejected.push(u);
+            }
+        }
 
         if admitted.len() < self.config.min_updates {
             // Too few points to cluster meaningfully; absorb and accept.
@@ -959,7 +984,7 @@ impl UpdateFilter for AsyncFilter {
         // Non-finite and wrong-dimension updates are partitioned out before
         // scoring; recording no entry keeps the pending list aligned with
         // the admitted batch.
-        if update.params.len() != ctx.global_params.len() || !update.params.is_finite() {
+        if update.params.len() != ctx.global_params.len() || !update.params_finite() {
             return;
         }
         let key = self.group_key(update.staleness);

@@ -33,11 +33,15 @@ pub struct ClientUpdate {
     /// How many times a filter has deferred this update ("contribute at a
     /// later stage"). Maintained by filters that defer.
     pub defers: u32,
-    /// Cached `‖params‖²`, kept consistent by the constructors and
-    /// [`ClientUpdate::refresh_cached_norms`]. Private so in-place edits
-    /// to `params` can't silently desynchronize it.
+    /// Cached `‖params‖²`. Invariant: its bits equal a fresh
+    /// `params.norm_squared()`. The constructors establish it; `params` is
+    /// public, so any in-place edit breaks it until
+    /// [`ClientUpdate::refresh_cached_norms`] is called. Two consumers rely
+    /// on it: AsyncFilter's eq. 6 distances (via
+    /// [`ClientUpdate::params_norm_squared`]) and the finite screen
+    /// [`ClientUpdate::params_finite`].
     params_norm_sq: f64,
-    /// Cached `‖delta‖²` under the same contract.
+    /// Cached `‖delta‖²` under the same invariant against `delta`.
     delta_norm_sq: f64,
 }
 
@@ -142,6 +146,22 @@ impl ClientUpdate {
     /// product via `‖MA − ω‖² = ‖MA‖² + ‖ω‖² − 2·MA·ω`.
     pub fn params_norm_squared(&self) -> f64 {
         self.params_norm_sq
+    }
+
+    /// Whether every coordinate of `params` is finite, in O(1) whenever
+    /// the cached `‖ω‖²` is finite: NaN and ±∞ propagate through a sum of
+    /// squares, so a finite sum proves every term finite. A non-finite
+    /// sum is ambiguous — a finite coordinate of magnitude ≳ 1e154
+    /// overflows its square — so only then does this fall back to the
+    /// full scan. Equals `params.is_finite()` while the cached-norm
+    /// invariant holds; debug builds assert that invariant here.
+    pub fn params_finite(&self) -> bool {
+        debug_assert_eq!(
+            self.params_norm_sq.to_bits(),
+            self.params.norm_squared().to_bits(),
+            "cached ‖params‖² is stale: call refresh_cached_norms after editing params"
+        );
+        self.params_norm_sq.is_finite() || self.params.is_finite()
     }
 
     /// Cached squared ℓ2 norm of `delta` (`‖δᵢ‖²`), computed once at
@@ -348,6 +368,7 @@ impl UpdateFilter for PassthroughFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn upd(client: usize, malicious: bool) -> ClientUpdate {
         ClientUpdate::new(client, 0, 0, Vector::from(vec![client as f64]), 5)
@@ -381,6 +402,73 @@ mod tests {
         u.refresh_cached_norms();
         assert_eq!(u.delta_norm_squared(), 100.0);
         assert_eq!(u.params_norm_squared(), 100.0);
+    }
+
+    /// Coordinates that stress the finite screen: NaNs of both signs and
+    /// several payloads, ±∞, subnormals, and finite values whose squares
+    /// overflow (so `‖ω‖²` is +∞ while every coordinate is finite).
+    const NON_FINITE: [f64; 6] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_dead_beef),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    const AWKWARD_FINITE: [f64; 7] = [
+        f64::from_bits(1),
+        -f64::MIN_POSITIVE,
+        -0.0,
+        1e155,
+        -3e200,
+        f64::MAX,
+        f64::MIN,
+    ];
+
+    #[test]
+    fn params_finite_falls_back_when_the_norm_overflows() {
+        let u = ClientUpdate::new(0, 0, 0, Vector::from(vec![1.0, 1e155]), 1);
+        assert!(!u.params_norm_squared().is_finite());
+        assert!(u.params_finite());
+        for bad in NON_FINITE {
+            for big in [0.5, 1e155] {
+                let u = ClientUpdate::new(0, 0, 0, Vector::from(vec![big, bad, 2.0]), 1);
+                assert!(!u.params_finite(), "{big:e} with {bad:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale")]
+    fn params_finite_catches_a_desynchronized_norm() {
+        let mut u = ClientUpdate::new(0, 0, 0, Vector::from(vec![1.0, 2.0]), 1);
+        u.params.scale(2.0);
+        let _ = u.params_finite();
+    }
+
+    proptest! {
+        #[test]
+        fn prop_params_finite_equals_full_scan(
+            coords in proptest::collection::vec((0u16..256, -1e3..1e3f64), 1..48),
+            density in 0u16..48,
+            finite_only in 0u8..2,
+        ) {
+            let params = Vector::from_fn(coords.len(), |d| {
+                let (pick, x) = coords[d];
+                if pick >= density {
+                    return x;
+                }
+                let pool_len = AWKWARD_FINITE.len()
+                    + if finite_only == 1 { 0 } else { NON_FINITE.len() };
+                let i = usize::from(pick) % pool_len;
+                AWKWARD_FINITE.get(i).copied().unwrap_or_else(|| NON_FINITE[i - AWKWARD_FINITE.len()])
+            });
+            let expected = params.is_finite();
+            let base = Vector::zeros(params.len());
+            let u = ClientUpdate::from_base(0, 0, 0, &base, params, 1);
+            prop_assert_eq!(u.params_finite(), expected);
+        }
     }
 
     #[test]

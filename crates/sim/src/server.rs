@@ -174,7 +174,10 @@ impl BufferedServer {
         if let Some(s) = sink_ref {
             ctx = ctx.with_sink(s);
         }
-        self.filter.on_buffered(&update, &ctx);
+        {
+            let _span = Span::start(sink_ref, "filter_arrival");
+            self.filter.on_buffered(&update, &ctx);
+        }
         self.buffer.push(update);
         if self.buffer.len() >= self.aggregation_bound {
             Some(self.aggregate_now())
@@ -270,6 +273,7 @@ impl BufferedServer {
             for u in &mut deferred {
                 u.staleness = self.round.saturating_sub(u.base_round);
                 if u.staleness <= self.staleness_limit {
+                    let _span = Span::start(sink_ref, "filter_arrival");
                     self.filter.on_buffered(u, &ctx);
                 }
             }
@@ -714,10 +718,13 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(
-            spans,
-            ["filter_bootstrap", "kmeans_1d", "filter", "aggregate"]
-        );
+        // Every arrival hook call is timed: the ten buffered arrivals, then
+        // after the pass the re-announced deferred updates and the two
+        // fresh arrivals.
+        let mut expected = vec!["filter_arrival"; 10];
+        expected.extend(["filter_bootstrap", "kmeans_1d", "filter", "aggregate"]);
+        expected.extend(vec!["filter_arrival"; report.deferred + 2]);
+        assert_eq!(spans, expected);
     }
 
     #[test]
@@ -839,6 +846,92 @@ mod tests {
         );
         // Sanity: the cold first pass did pay O(Ω) — the counter is live.
         assert!(before >= bound as u64);
+    }
+
+    /// The finite screen reads the cached norm first and scans only when
+    /// that norm is not finite. A finite 1e200 coordinate overflows the
+    /// norm, so the update must take the scan and still be admitted and
+    /// scored, while a NaN update must still be rejected unscored — both
+    /// at arrival (warm group) and in the pass (cold and warm group).
+    #[test]
+    fn finite_screen_admits_overflowing_norms_and_rejects_nan() {
+        use asyncfl_telemetry::{Event, MemorySink, MetricsRegistry, SharedSink, Sink, Verdict};
+        use std::sync::Arc;
+
+        let mem = Arc::new(MemorySink::new(4096));
+        // Middle-cluster deferral off so every pass drains the buffer and
+        // each round's nine arrivals make exactly one pass.
+        let filter = AsyncFilter::new(asyncfl_core::AsyncFilterConfig {
+            middle_policy: asyncfl_core::asyncfilter::MiddlePolicy::Accept,
+            ..Default::default()
+        });
+        let mut s = BufferedServer::new(
+            Vector::zeros(2),
+            9,
+            20,
+            Box::new(filter),
+            Box::new(MeanAggregator::new()),
+        )
+        .with_sink(SharedSink::from_arc(mem.clone()));
+        let distances = |mem: &MemorySink| {
+            let reg = MetricsRegistry::new();
+            for e in mem.events() {
+                reg.emit(&e);
+            }
+            reg.counter("filter_distances_computed")
+        };
+        let huge = |round: u64| upd(6, round, &[1e200, 1.0]).with_truth_malicious(true);
+        let nan = |round: u64| upd(7, round, &[f64::NAN, 1.0]).with_truth_malicious(true);
+        assert!(!huge(0).params_norm_squared().is_finite());
+        assert!(huge(0).params_finite());
+        assert!(!nan(0).params_finite());
+
+        // Round 0: the staleness-0 group is cold, so arrivals record no
+        // distance and only the pass screens. Round 1: the group is live,
+        // so each arrival is screened and, if admitted, scored at once.
+        for round in 0..2u64 {
+            for i in 0..6 {
+                s.receive(upd(i, round, &[1.0 + 0.01 * i as f64, 1.0]));
+            }
+            let before = distances(&mem);
+            assert!(s.receive(nan(round)).is_none());
+            let after_nan = distances(&mem);
+            assert!(s.receive(huge(round)).is_none());
+            let after_huge = distances(&mem);
+            assert_eq!(after_nan - before, 0, "round {round}: NaN is never scored");
+            assert_eq!(
+                after_huge - after_nan,
+                round,
+                "round {round}: 1e200 arrival"
+            );
+            s.receive(upd(8, round, &[1.02, 1.0]))
+                .expect("bound reached");
+
+            let verdicts: Vec<(usize, f64, Verdict)> = mem
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::FilterScore {
+                        client,
+                        score,
+                        verdict,
+                        ..
+                    } => Some((*client, *score, *verdict)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(verdicts.len(), 9 * (round as usize + 1));
+            for &(client, score, verdict) in &verdicts[9 * round as usize..] {
+                match client {
+                    6 => assert_eq!((score, verdict), (f64::INFINITY, Verdict::Rejected)),
+                    7 => assert!(score.is_nan() && verdict == Verdict::Rejected),
+                    _ => assert!(score.is_finite(), "client {client}: {score}"),
+                }
+            }
+            assert_eq!(s.detection().true_positives, 2 * (round as usize + 1));
+            assert_eq!(s.detection().false_negatives, 0);
+            assert!(s.global().is_finite());
+        }
     }
 
     #[test]

@@ -89,18 +89,24 @@ pub fn std_vector(vectors: &[Vector]) -> Option<Vector> {
 /// Coordinate-wise median of a collection of vectors (the Median aggregation
 /// rule of Yin et al. 2018).
 ///
+/// Accepts any iterator of borrowed vectors, like [`trimmed_mean_vector`].
+///
 /// Returns `None` for an empty collection.
 ///
 /// # Panics
 ///
 /// Panics if the vectors have differing dimensions or contain NaN.
-pub fn median_vector(vectors: &[Vector]) -> Option<Vector> {
+pub fn median_vector<'a, I>(vectors: I) -> Option<Vector>
+where
+    I: IntoIterator<Item = &'a Vector>,
+{
+    let vectors: Vec<&Vector> = vectors.into_iter().collect();
     let first = vectors.first()?;
     let dim = first.len();
     let mut column = vec![0.0; vectors.len()];
     let mut out = Vector::zeros(dim);
     for (d, o) in out.iter_mut().enumerate() {
-        for (c, v) in column.iter_mut().zip(vectors) {
+        for (c, v) in column.iter_mut().zip(&vectors) {
             *c = v[d]; // lint:allow(P2) -- equal dims are this function's documented contract
         }
         *o = median(&column);
@@ -183,16 +189,39 @@ fn from_order_key(k: u64) -> f64 {
     f64::from_bits(k ^ (negative_fill | (1 << 63)))
 }
 
-/// Weighted mean of vectors with the given nonnegative weights.
+/// Coordinates per block of [`weighted_mean_vector`]'s stack accumulator:
+/// 8 KiB of `f64`, so the accumulator stays in L1 while every input
+/// vector's slice of the block streams through it once.
+pub const WEIGHTED_MEAN_BLOCK: usize = 1024;
+
+/// `base + Σᵢ (wᵢ/W)·vᵢ` with `W = Σᵢ wᵢ`: the weighted mean of `vectors`
+/// added to `base` — a FedBuff-style server's next global model from its
+/// accepted deltas.
 ///
-/// Weights are normalized internally; a zero weight-sum yields the zero
-/// vector. Returns `None` for an empty collection.
+/// Accepts any iterator of borrowed vectors, like [`trimmed_mean_vector`].
+/// Weights are normalized internally; a total weight `W ≤ 0` contributes
+/// nothing, so every coordinate is `base[j] + 0.0`. Returns `None` for an
+/// empty collection.
+///
+/// Works one [`WEIGHTED_MEAN_BLOCK`] of coordinates at a time: a zeroed
+/// stack accumulator receives `acc += (wᵢ/W)·vᵢ` for each vector in
+/// order, then `base[j] + acc[j]` goes into the output. Every coordinate
+/// therefore sees the same float operations, in the same order, as
+/// accumulating whole vectors into a zero vector and adding it to `base`,
+/// while the output is the only allocation proportional to the dimension.
 ///
 /// # Panics
 ///
-/// Panics if `weights.len() != vectors.len()` or dimensions differ.
-pub fn weighted_mean_vector(vectors: &[Vector], weights: &[f64]) -> Option<Vector> {
-    let first = vectors.first()?;
+/// Panics if `weights.len()` differs from the number of vectors, or if
+/// any vector's dimension differs from `base`'s.
+pub fn weighted_mean_vector<'a, I>(base: &Vector, vectors: I, weights: &[f64]) -> Option<Vector>
+where
+    I: IntoIterator<Item = &'a Vector>,
+{
+    let vectors: Vec<&Vector> = vectors.into_iter().collect();
+    if vectors.is_empty() {
+        return None;
+    }
     assert_eq!(
         vectors.len(),
         weights.len(),
@@ -200,15 +229,38 @@ pub fn weighted_mean_vector(vectors: &[Vector], weights: &[f64]) -> Option<Vecto
         vectors.len(),
         weights.len()
     );
+    let dim = base.len();
+    for v in &vectors {
+        assert_eq!(
+            v.len(),
+            dim,
+            "weighted_mean: dimension mismatch ({} vs {dim})",
+            v.len()
+        );
+    }
     let total = kernels::sum_seq(weights.iter().copied());
-    let mut acc = Vector::zeros(first.len());
-    if total <= 0.0 {
-        return Some(acc);
+    // `W ≤ 0` leaves the accumulator zero; a NaN `W` is not skipped, so it
+    // reaches the output through the weights.
+    let contributes = total > 0.0 || total.is_nan();
+    let mut out = Vec::with_capacity(dim);
+    let mut acc = [0.0; WEIGHTED_MEAN_BLOCK];
+    for (lo, base_block) in (0..)
+        .step_by(WEIGHTED_MEAN_BLOCK)
+        .zip(base.as_slice().chunks(WEIGHTED_MEAN_BLOCK))
+    {
+        let hi = lo + base_block.len();
+        // lint:allow(P2) -- a chunk holds at most WEIGHTED_MEAN_BLOCK coordinates
+        let block = &mut acc[..base_block.len()];
+        block.fill(0.0);
+        if contributes {
+            for (v, &w) in vectors.iter().zip(weights) {
+                // lint:allow(P2) -- every vector has `dim` coordinates (asserted above)
+                kernels::axpy(block, w / total, &v.as_slice()[lo..hi]);
+            }
+        }
+        out.extend(base_block.iter().zip(block.iter()).map(|(g, a)| g + a));
     }
-    for (v, &w) in vectors.iter().zip(weights) {
-        acc.axpy(w / total, v);
-    }
-    Some(acc)
+    Some(Vector::from(out))
 }
 
 #[cfg(test)]
@@ -275,11 +327,14 @@ mod tests {
     #[test]
     fn weighted_mean_normalizes() {
         let vs = vecs(&[&[0.0], &[10.0]]);
-        let m = weighted_mean_vector(&vs, &[1.0, 3.0]).unwrap();
+        let zero = Vector::zeros(1);
+        let m = weighted_mean_vector(&zero, &vs, &[1.0, 3.0]).unwrap();
         assert!((m[0] - 7.5).abs() < 1e-12);
-        let z = weighted_mean_vector(&vs, &[0.0, 0.0]).unwrap();
+        let z = weighted_mean_vector(&zero, &vs, &[0.0, 0.0]).unwrap();
         assert_eq!(z[0], 0.0);
-        assert_eq!(weighted_mean_vector(&[], &[]), None);
+        assert_eq!(weighted_mean_vector(&zero, &[], &[]), None);
+        let shifted = weighted_mean_vector(&Vector::from(vec![2.0]), &vs, &[1.0, 3.0]).unwrap();
+        assert!((shifted[0] - 9.5).abs() < 1e-12);
     }
 
     /// The sort-everything trimmed mean `trimmed_mean_vector` replaced:
@@ -422,7 +477,7 @@ mod tests {
         ) {
             let vs: Vec<Vector> = rows.into_iter().map(Vector::from).collect();
             let w = vec![1.0; vs.len()];
-            let a = weighted_mean_vector(&vs, &w).unwrap();
+            let a = weighted_mean_vector(&Vector::zeros(3), &vs, &w).unwrap();
             let b = mean_vector(&vs).unwrap();
             prop_assert!(a.distance(&b) < 1e-9);
         }
