@@ -152,6 +152,59 @@ fn usage_and_parse_errors_exit_2() {
     );
 }
 
+/// An artifact carrying only a `scale_1m` probe with the given wall clock.
+fn scale_artifact(dir: &std::path::Path, name: &str, wall_secs: f64) -> PathBuf {
+    let path = dir.join(name);
+    let body = format!(
+        r#"{{
+  "schema": "asyncfl-bench-v2",
+  "binary": "repro",
+  "total_secs": 20.0,
+  "phases": [],
+  "scale_1m": {{"clients": 1000000, "rounds": 12, "aggregation_bound": 8192,
+    "participation": 0.5, "shard_cache_capacity": 4096,
+    "rounds_completed": 12, "updates_received": 98304,
+    "loop_events": 98304, "wall_secs": {wall_secs}, "events_per_sec": 19707.5,
+    "final_accuracy": 0.98, "resident_client_states_max": 4096,
+    "alloc_peak_live_bytes": 150000000, "vm_hwm_bytes": 170000000}}
+}}
+"#
+    );
+    std::fs::write(&path, body).expect("write artifact");
+    path
+}
+
+#[test]
+fn scale_wall_clock_regression_fails_the_gate_at_ci_thresholds() {
+    // CI gates the million-client probe's end-to-end wall clock with its
+    // mean-time bound (+100%).
+    let dir = tempdir("scale-wall");
+    let old = scale_artifact(&dir, "old.json", 5.0);
+    let slower = scale_artifact(&dir, "slower.json", 9.5); // +90%
+    let doubled = scale_artifact(&dir, "doubled.json", 10.5); // +110%
+    let ci = |new: &PathBuf| {
+        run(&[
+            old.to_str().unwrap(),
+            new.to_str().unwrap(),
+            "--gate",
+            "--max-mean-regress",
+            "100",
+            "--max-p99-regress",
+            "300",
+            "--max-alloc-regress",
+            "10",
+            "--max-filter-alloc-regress",
+            "5",
+        ])
+    };
+    let out = ci(&slower);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = ci(&doubled);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("`scale_1m` wall_secs"), "{stdout}");
+}
+
 #[test]
 fn gates_against_the_committed_baseline_schema() {
     // The committed BENCH_repro.json must always be loadable by the

@@ -32,9 +32,9 @@
 //! pure function of `seed + client id`, so resident memory is bounded by
 //! the in-flight set plus a fixed shard cache, not by `num_clients`
 //! (see DESIGN.md §11). A million-client run therefore fits in the same
-//! footprint as a hundred-client one, modulo the event queue itself —
-//! which sizes by occupancy too ([`crate::schedule`], DESIGN.md §12),
-//! never pre-allocating for the configured population.
+//! footprint as a hundred-client one, modulo the event queue itself: one
+//! 56-byte entry per client, reserved once at exactly `num_clients`
+//! entries ([`crate::schedule`], DESIGN.md §12).
 
 use asyncfl_attacks::{Attack, AttackKind, GradientDeviationAttack};
 use asyncfl_core::aggregation::{Aggregator, MeanAggregator};
@@ -54,26 +54,29 @@ use crate::config::SimConfig;
 use crate::latency::LatencyModel;
 use crate::metrics::RunResult;
 use crate::pool::{with_worker_pool, PoolHandle};
-use crate::schedule::{EventKey, EventQueue};
+use crate::schedule::{EventKey, HeapQueue};
 use crate::server::BufferedServer;
 use crate::spawner::{ClientSpawner, ClientState};
 
 /// An in-flight local training job, ordered by `(completes_at, seq)` in
-/// the event queue ([`EventKey`]). The global-model snapshot is shared
-/// via `Arc` so an in-flight client costs one reference count instead of
-/// a full parameter-vector clone.
+/// the event queue ([`EventKey`]). Every client has exactly one entry at
+/// all times, so at 10⁶ clients this is the run's largest structure: it
+/// is kept at 56 bytes (pinned by a unit test). `client` and `base_round`
+/// are `u32`; [`Simulation::new`] checks that both fit.
 struct InFlight {
     completes_at: f64,
     seq: u64,
-    client: usize,
-    base_round: u64,
-    base_params: Arc<Vector>,
-    /// A non-participating cycle (the client was not sampled): no training,
-    /// no submission — just time passing.
-    idle: bool,
+    client: u32,
+    base_round: u32,
+    /// The global-model snapshot the job trains from, shared via `Arc` so
+    /// an in-flight client costs one reference count instead of a full
+    /// parameter-vector clone. `None` marks a non-participating cycle
+    /// (the client was not sampled): no training, no submission — just
+    /// time passing.
+    base_params: Option<Arc<Vector>>,
     /// The client's lazily materialized state (live RNG, latency factor,
-    /// weight, attacker flag). Each client has exactly one heap entry at
-    /// all times, so this is the state's single resident home.
+    /// weight, attacker flag). This entry is the state's single resident
+    /// home.
     state: ClientState,
 }
 
@@ -189,6 +192,33 @@ fn event_budget(cfg: &SimConfig) -> u64 {
         .min(1 << 33)
 }
 
+/// Checks that every client id and every base round this engine can
+/// queue fits the `u32` fields of [`InFlight`]. Ids run to
+/// `num_clients - 1`; a queued job's base round is at most `rounds - 1`,
+/// since the loop ends at the aggregation that completes round `rounds`.
+fn check_entry_bounds(cfg: &SimConfig) -> Result<(), String> {
+    if u32::try_from(cfg.num_clients - 1).is_err() {
+        return Err(format!(
+            "num_clients ({}) must be at most 2^32",
+            cfg.num_clients
+        ));
+    }
+    if u32::try_from(cfg.rounds - 1).is_err() {
+        return Err(format!("rounds ({}) must be at most 2^32", cfg.rounds));
+    }
+    Ok(())
+}
+
+/// Narrows a client id or round to its `u32` [`InFlight`] field.
+/// [`check_entry_bounds`] proved in [`Simulation::new`] that every value
+/// the engine queues fits, so a failure here is an engine bug.
+fn narrow(value: u64) -> u32 {
+    u32::try_from(value).unwrap_or_else(|_| {
+        // lint:allow(P1) -- Simulation::new bounds every queued id and round; a miss is an engine bug
+        panic!("{value} does not fit an event-queue entry")
+    })
+}
+
 /// Computes the trusted delta for clean-dataset baselines: one local
 /// training pass on the server's root dataset from the current global
 /// model (what Zeno++/AFLGuard's server does each round).
@@ -254,7 +284,7 @@ impl Simulation {
     /// Panics if the configuration is invalid
     /// (see [`SimConfig::validate`]).
     pub fn new(config: SimConfig) -> Self {
-        if let Err(e) = config.validate() {
+        if let Err(e) = config.validate().and_then(|()| check_entry_bounds(&config)) {
             // lint:allow(P1) -- documented constructor contract; validate() is the recoverable path
             panic!("invalid SimConfig: {e}");
         }
@@ -426,12 +456,12 @@ impl Simulation {
 
             // Kick off every client at t = 0 from the initial model. Each
             // client's state is materialized here and then lives in its
-            // (single, permanent) queue entry; the event queue is the only
-            // O(num_clients) structure a run keeps — and it sizes by
-            // occupancy as it fills, never pre-allocating for the
-            // configured population (the old heap reserved one ~200 B slot
-            // per client up front, ~200 MB at 10⁶ clients).
-            let mut queue: Box<dyn EventQueue<InFlight>> = cfg.scheduler.build();
+            // (single, permanent) queue entry. The event queue is the only
+            // O(num_clients) structure a run keeps: every pop is followed
+            // by at most one push, so it never holds more than one entry
+            // per client, and it is reserved once at exactly that size
+            // (56 B per client, ~53 MiB at 10⁶ clients) and never grows.
+            let mut queue = HeapQueue::with_capacity(cfg.num_clients);
             let mut seq = 0u64;
             let mut snapshot = RoundSnapshot::new(&server);
             let init_base = snapshot.get(&server);
@@ -449,10 +479,9 @@ impl Simulation {
                 queue.push(InFlight {
                     completes_at: dur,
                     seq,
-                    client,
+                    client: narrow(client as u64),
                     base_round: 0,
-                    base_params: Arc::clone(&init_base),
-                    idle: false,
+                    base_params: Some(Arc::clone(&init_base)),
                     state,
                 });
                 seq += 1;
@@ -476,9 +505,9 @@ impl Simulation {
                     break;
                 }
                 now = job.completes_at;
-                let client = job.client;
+                let client = job.client as usize;
 
-                if job.idle {
+                let Some(base_params) = job.base_params.take() else {
                     // Not sampled last cycle: wake up and (maybe) participate.
                     let factor = job.state.factor;
                     let (dur, idle) = {
@@ -489,22 +518,21 @@ impl Simulation {
                         let dur = latency.cycle_duration(factor, rng);
                         (dur, !participates(cfg, rng))
                     };
-                    let base = snapshot.get(&server);
-                    if !idle {
-                        dispatch(&mut pool, seq, client, &base, &mut job.state);
+                    let base = (!idle).then(|| snapshot.get(&server));
+                    if let Some(base) = &base {
+                        dispatch(&mut pool, seq, client, base, &mut job.state);
                     }
                     queue.push(InFlight {
                         completes_at: now + dur,
                         seq,
-                        client,
-                        base_round: server.round(),
+                        client: job.client,
+                        base_round: narrow(server.round()),
                         base_params: base,
-                        idle,
                         state: job.state,
                     });
                     seq += 1;
                     continue;
-                }
+                };
 
                 // Local training from the (possibly stale) snapshot: train
                 // now (inline mode) or collect the eagerly dispatched
@@ -516,7 +544,7 @@ impl Simulation {
                             // lint:allow(P1) -- inline mode never ships the stream away; a miss is an engine bug
                             panic!("inline training: {e}")
                         });
-                        let delta = train_one(&job.base_params, client, &mut rng);
+                        let delta = train_one(&base_params, client, &mut rng);
                         job.state.check_in_rng(rng);
                         delta
                     }
@@ -546,11 +574,11 @@ impl Simulation {
 
                 let update = ClientUpdate::from_delta(
                     client,
-                    job.base_round,
+                    u64::from(job.base_round),
                     0,
-                    &job.base_params,
+                    &base_params,
                     delta,
-                    job.state.size,
+                    job.state.size as usize,
                 )
                 .with_truth_malicious(job.state.malicious);
 
@@ -626,17 +654,16 @@ impl Simulation {
                     let dur = latency.cycle_duration(factor, rng);
                     (dur, !participates(cfg, rng))
                 };
-                let base = snapshot.get(&server);
-                if !idle {
-                    dispatch(&mut pool, seq, client, &base, &mut job.state);
+                let base = (!idle).then(|| snapshot.get(&server));
+                if let Some(base) = &base {
+                    dispatch(&mut pool, seq, client, base, &mut job.state);
                 }
                 queue.push(InFlight {
                     completes_at: now + dur,
                     seq,
-                    client,
-                    base_round: server.round(),
+                    client: job.client,
+                    base_round: narrow(server.round()),
                     base_params: base,
-                    idle,
                     state: job.state,
                 });
                 seq += 1;
@@ -731,13 +758,38 @@ mod tests {
     }
 
     #[test]
-    fn wheel_and_heap_schedulers_run_byte_identically() {
-        use crate::schedule::SchedulerKind;
-        let run = |kind| {
-            let mut sim = Simulation::new(SimConfig::smoke_test().with_scheduler(kind));
-            sim.run(Box::new(AsyncFilter::default()), AttackKind::Gd)
-        };
-        assert_eq!(run(SchedulerKind::Wheel), run(SchedulerKind::Heap));
+    fn queue_entry_stays_at_56_bytes() {
+        // One entry per client: at 10⁶ clients every byte here is ~1 MB of
+        // the run's peak.
+        assert!(
+            std::mem::size_of::<InFlight>() <= 56,
+            "InFlight is {} bytes",
+            std::mem::size_of::<InFlight>()
+        );
+    }
+
+    #[test]
+    fn entry_bounds_are_checked_at_construction() {
+        let mut cfg = SimConfig::smoke_test();
+        assert_eq!(check_entry_bounds(&cfg), Ok(()));
+        cfg.rounds = 1 << 32;
+        assert_eq!(check_entry_bounds(&cfg), Ok(()));
+        cfg.rounds += 1;
+        assert!(check_entry_bounds(&cfg).is_err());
+        let mut cfg = SimConfig::smoke_test();
+        cfg.num_clients = 1 << 32;
+        assert_eq!(check_entry_bounds(&cfg), Ok(()));
+        cfg.num_clients += 1;
+        assert!(check_entry_bounds(&cfg).is_err());
+        assert_eq!(narrow(u64::from(u32::MAX)), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "rounds (4294967297) must be at most 2^32")]
+    fn out_of_range_rounds_panic_at_construction() {
+        let mut cfg = SimConfig::smoke_test();
+        cfg.rounds = (1 << 32) + 1;
+        let _ = Simulation::new(cfg);
     }
 
     #[test]
@@ -915,7 +967,7 @@ mod tests {
         cfg.partition_jitter = 0.5;
         let sim = Simulation::new(cfg);
         let n = sim.config().num_clients;
-        let sizes: Vec<usize> = (0..n).map(|c| sim.spawner().spawn(c).size).collect();
+        let sizes: Vec<u32> = (0..n).map(|c| sim.spawner().spawn(c).size).collect();
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         assert!(max > min, "jitter produced uniform sizes: {sizes:?}");
@@ -923,7 +975,7 @@ mod tests {
         // The derived shard length (= aggregation weight) follows the
         // jittered size.
         for (c, &size) in sizes.iter().enumerate() {
-            assert_eq!(sim.spawner().dataset(c).len(), size);
+            assert_eq!(sim.spawner().dataset(c).len(), size as usize);
         }
     }
 

@@ -6,10 +6,17 @@
 //! [`UpdateFilter`] (Fig. 5's AsyncFilter slot), aggregates the accepted
 //! updates with its [`Aggregator`], advances the round counter, and
 //! re-buffers whatever the filter deferred.
+//!
+//! Client-reported metadata is untrusted: a report whose fields cannot be
+//! right is refused at receipt with a typed [`MalformedReason`] before
+//! any filter sees it, and counted in
+//! [`rejected_malformed`](BufferedServer::rejected_malformed).
 
 use asyncfl_core::aggregation::Aggregator;
 use asyncfl_core::update::{ClientUpdate, FilterContext, UpdateFilter};
 use asyncfl_telemetry::{Event, SharedSink, Span, Verdict};
+
+pub use asyncfl_telemetry::MalformedReason;
 use asyncfl_tensor::Vector;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -41,6 +48,7 @@ pub struct BufferedServer {
     detection: DetectionStats,
     received: u64,
     discarded_stale: u64,
+    rejected_malformed: u64,
     staleness_histogram: BTreeMap<u64, u64>,
     sink: Option<SharedSink>,
 }
@@ -71,6 +79,7 @@ impl BufferedServer {
             detection: DetectionStats::default(),
             received: 0,
             discarded_stale: 0,
+            rejected_malformed: 0,
             staleness_histogram: BTreeMap::new(),
             sink: None,
         }
@@ -131,6 +140,14 @@ impl BufferedServer {
         self.discarded_stale
     }
 
+    /// Reports refused at receipt as malformed (see [`MalformedReason`]).
+    /// Every received report is counted exactly once: buffered (the
+    /// staleness histogram), discarded stale at receipt, or rejected
+    /// malformed.
+    pub fn rejected_malformed(&self) -> u64 {
+        self.rejected_malformed
+    }
+
     /// Histogram of staleness among buffered reports.
     pub fn staleness_histogram(&self) -> &BTreeMap<u64, u64> {
         &self.staleness_histogram
@@ -152,6 +169,19 @@ impl BufferedServer {
             round: self.round,
             staleness,
         });
+        // No client can have trained on a model the server has not
+        // published yet. Saturated to staleness 0, such a report would
+        // land in the freshest staleness group.
+        if update.base_round > self.round {
+            self.rejected_malformed += 1;
+            self.emit(Event::UpdateRejectedMalformed {
+                client: update.client,
+                round: self.round,
+                base_round: update.base_round,
+                reason: MalformedReason::FutureBaseRound,
+            });
+            return None;
+        }
         if staleness > self.staleness_limit {
             self.discarded_stale += 1;
             self.emit(Event::UpdateDiscardedStale {
@@ -404,6 +434,88 @@ mod tests {
         assert!(s.receive(upd(2, 0, &[1.0, 1.0])).is_none());
         assert_eq!(s.discarded_stale(), 1);
         assert_eq!(s.buffer_len(), 0);
+    }
+
+    /// Records every update the filter is shown, through either hook.
+    #[derive(Default)]
+    struct Witness {
+        seen: std::sync::Arc<std::sync::Mutex<Vec<(usize, u64)>>>,
+    }
+
+    impl asyncfl_core::update::UpdateFilter for Witness {
+        fn name(&self) -> &'static str {
+            "witness"
+        }
+
+        fn on_buffered(
+            &mut self,
+            update: &ClientUpdate,
+            _ctx: &asyncfl_core::update::FilterContext<'_>,
+        ) {
+            self.seen
+                .lock()
+                .unwrap()
+                .push((update.client, update.base_round));
+        }
+
+        fn filter(
+            &mut self,
+            updates: Vec<ClientUpdate>,
+            _ctx: &asyncfl_core::update::FilterContext<'_>,
+        ) -> asyncfl_core::update::FilterOutcome {
+            let mut seen = self.seen.lock().unwrap();
+            seen.extend(updates.iter().map(|u| (u.client, u.base_round)));
+            asyncfl_core::update::FilterOutcome::accept_all(updates)
+        }
+    }
+
+    #[test]
+    fn future_base_round_is_rejected_before_the_filter() {
+        use asyncfl_telemetry::{Event, MemorySink, SharedSink};
+        use std::sync::Arc;
+
+        let witness = Witness::default();
+        let seen = Arc::clone(&witness.seen);
+        let mem = Arc::new(MemorySink::new(256));
+        let mut s = BufferedServer::new(
+            Vector::zeros(2),
+            2,
+            20,
+            Box::new(witness),
+            Box::new(MeanAggregator::new()),
+        )
+        .with_sink(SharedSink::from_arc(mem.clone()));
+        for r in 0..3 {
+            s.receive(upd(0, r, &[0.0, 0.0]));
+            s.receive(upd(1, r, &[0.0, 0.0]));
+        }
+        assert_eq!(s.round(), 3);
+        let shown = seen.lock().unwrap().len();
+        let histogram = s.staleness_histogram().clone();
+
+        // At round 3, a report claiming round 8 would read as staleness 0.
+        assert!(s.receive(upd(5, 8, &[9.0, 9.0])).is_none());
+        assert_eq!(s.buffer_len(), 0, "the report must not be buffered");
+        assert_eq!(seen.lock().unwrap().len(), shown, "nor shown to the filter");
+        assert_eq!(s.rejected_malformed(), 1);
+        assert_eq!(s.discarded_stale(), 0);
+        assert_eq!(*s.staleness_histogram(), histogram);
+        assert!(mem.events().contains(&Event::UpdateRejectedMalformed {
+            client: 5,
+            round: 3,
+            base_round: 8,
+            reason: MalformedReason::FutureBaseRound,
+        }));
+
+        // The next honest pair still aggregates without it.
+        s.receive(upd(0, 3, &[1.0, 1.0]));
+        let report = s.receive(upd(1, 3, &[1.0, 1.0])).expect("bound reached");
+        assert_eq!(report.accepted, 2);
+        assert_eq!(s.global().as_slice(), &[1.0, 1.0]);
+        assert!(seen.lock().unwrap().iter().all(|&(client, _)| client != 5));
+        // Received = buffered + discarded stale + rejected malformed.
+        let buffered: u64 = s.staleness_histogram().values().sum();
+        assert_eq!(s.received(), buffered + s.discarded_stale() + 1);
     }
 
     #[test]
@@ -978,31 +1090,44 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Under any stream of reports: the round counter only moves
-            /// forward, the buffer stays strictly below the bound between
-            /// calls, staleness-histogram keys respect the limit, and the
-            /// receive/discard accounting balances.
+            /// Under any stream of reports, including ones that claim a
+            /// future base round: the round counter only moves forward,
+            /// the buffer stays strictly below the bound between calls,
+            /// staleness-histogram keys respect the limit, and every
+            /// received report is counted exactly once — buffered,
+            /// discarded stale, or rejected malformed.
             #[test]
             fn prop_server_invariants(
-                reports in proptest::collection::vec((0usize..8, 0u64..6, -5.0..5.0f64), 1..60),
+                reports in proptest::collection::vec((0usize..8, -3i64..6, -5.0..5.0f64), 1..60),
                 bound in 2usize..6,
                 limit in 0u64..4,
             ) {
                 let mut s = server(bound, limit);
                 let mut last_round = 0;
+                let mut future = 0u64;
                 for (client, base_lag, value) in reports {
-                    // base_round at most the current round (clients cannot
-                    // train on future models).
-                    let base_round = s.round().saturating_sub(base_lag);
+                    // A negative lag claims a round the server has not
+                    // reached yet.
+                    let base_round = if base_lag < 0 {
+                        future += 1;
+                        s.round() + base_lag.unsigned_abs()
+                    } else {
+                        s.round().saturating_sub(base_lag.unsigned_abs())
+                    };
                     let _ = s.receive(upd(client, base_round, &[value, -value]));
                     prop_assert!(s.round() >= last_round);
                     last_round = s.round();
                     prop_assert!(s.buffer_len() < bound);
                     prop_assert!(s.staleness_histogram().keys().all(|&t| t <= limit));
                 }
+                // The passthrough filter never defers, so every stale
+                // discard happens at receipt.
                 let buffered: u64 = s.staleness_histogram().values().sum();
-                prop_assert!(buffered + s.discarded_stale() >= s.received()
-                    || buffered <= s.received());
+                prop_assert_eq!(s.rejected_malformed(), future);
+                prop_assert_eq!(
+                    buffered + s.discarded_stale() + s.rejected_malformed(),
+                    s.received()
+                );
                 prop_assert!(s.global().is_finite());
             }
 

@@ -69,23 +69,27 @@ impl std::fmt::Display for RngCheckedOut {
 
 impl std::error::Error for RngCheckedOut {}
 
-/// The live, cheap (O(few words)) state of one in-flight client, carried
-/// in the engine's completion-heap entry from dispatch to completion.
+/// The live, cheap (24-byte) state of one in-flight client, carried in
+/// the engine's event-queue entry from dispatch to completion.
 ///
-/// The RNG slot is an explicit `Option`: [`ClientState::checkout_rng`]
-/// takes the stream when a job ships to the worker pool and
-/// [`ClientState::check_in_rng`] returns the advanced stream with the
-/// result, so a double checkout is an [`RngCheckedOut`] error instead of a
-/// silent placeholder stream.
+/// The RNG stream is either home or checked out, tracked by an explicit
+/// flag beside a bare `StdRng` (an `Option<StdRng>` would cost a second
+/// word per client): [`ClientState::checkout_rng`] hands the stream to a
+/// job shipped to the worker pool and [`ClientState::check_in_rng`]
+/// returns the advanced stream with the result. While the stream is out,
+/// the slot keeps a stale copy that no accessor hands out, so a double
+/// checkout is an [`RngCheckedOut`] error instead of a silent placeholder
+/// stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientState {
-    rng: Option<StdRng>,
+    rng: StdRng,
     /// Persistent latency factor (the client's "device class").
     pub factor: f64,
     /// Local partition size — the update's aggregation weight.
-    pub size: usize,
+    pub size: u32,
     /// Ground-truth attacker flag.
     pub malicious: bool,
+    rng_home: bool,
 }
 
 impl ClientState {
@@ -96,17 +100,22 @@ impl ClientState {
     /// [`RngCheckedOut`] if the stream is already held by an in-flight
     /// job — the double-dispatch condition that must abort the run.
     pub fn checkout_rng(&mut self, client: usize) -> Result<StdRng, RngCheckedOut> {
-        self.rng.take().ok_or(RngCheckedOut { client })
+        if !self.rng_home {
+            return Err(RngCheckedOut { client });
+        }
+        self.rng_home = false;
+        Ok(self.rng.clone())
     }
 
     /// Returns the advanced stream after the job completes.
     pub fn check_in_rng(&mut self, rng: StdRng) {
-        self.rng = Some(rng);
+        self.rng = rng;
+        self.rng_home = true;
     }
 
     /// Whether the stream is currently home (not shipped to a worker).
     pub fn rng_is_home(&self) -> bool {
-        self.rng.is_some()
+        self.rng_home
     }
 
     /// Mutable access to the home stream for event-loop draws (cycle
@@ -116,7 +125,11 @@ impl ClientState {
     ///
     /// [`RngCheckedOut`] if the stream is currently shipped to a worker.
     pub fn rng_mut(&mut self, client: usize) -> Result<&mut StdRng, RngCheckedOut> {
-        self.rng.as_mut().ok_or(RngCheckedOut { client })
+        if self.rng_home {
+            Ok(&mut self.rng)
+        } else {
+            Err(RngCheckedOut { client })
+        }
     }
 }
 
@@ -269,7 +282,14 @@ impl ClientSpawner {
 
     /// Step 1 of the module's draw order: a fresh stream for `client` and
     /// its partition size (the jitter draw, only when jitter is on).
-    fn begin(&self, client: usize) -> (StdRng, usize) {
+    ///
+    /// The size is stored as `u32`. [`SimConfig::validate`] bounds the
+    /// jittered partition size below `u32::MAX`, so the saturation here
+    /// is unreachable from either engine; it only keeps a hand-built
+    /// spawner's shard length and aggregation weight equal.
+    ///
+    /// [`SimConfig::validate`]: crate::config::SimConfig::validate
+    fn begin(&self, client: usize) -> (StdRng, u32) {
         let mut rng = asyncfl_rng::stream::substream(self.seed, client as u64);
         let size = if self.partition_jitter > 0.0 {
             let factor = 1.0 + self.partition_jitter * (2.0 * rng.random::<f64>() - 1.0);
@@ -277,18 +297,19 @@ impl ClientSpawner {
         } else {
             self.partition_size
         };
-        (rng, size)
+        (rng, u32::try_from(size).unwrap_or(u32::MAX))
     }
 
     /// Step 3 of the module's draw order: the latency factor, after which
     /// `rng` is the client's live stream.
-    fn finish(&self, client: usize, mut rng: StdRng, size: usize) -> ClientState {
+    fn finish(&self, client: usize, mut rng: StdRng, size: u32) -> ClientState {
         let factor = self.latency.draw_factor(&mut rng);
         ClientState {
-            rng: Some(rng),
+            rng,
             factor,
             size,
             malicious: self.is_malicious(client),
+            rng_home: true,
         }
     }
 
@@ -299,7 +320,7 @@ impl ClientSpawner {
         let (mut rng, size) = self.begin(client);
         let mut data = self
             .task
-            .client_dataset(&self.partitioner, client, size, &mut rng);
+            .client_dataset(&self.partitioner, client, size as usize, &mut rng);
         let state = self.finish(client, rng, size);
         if self.poison_labels && state.malicious {
             data = data.with_flipped_labels();
@@ -317,7 +338,7 @@ impl ClientSpawner {
     pub fn spawn(&self, client: usize) -> ClientState {
         let (mut rng, size) = self.begin(client);
         self.task
-            .skip_client_dataset(&self.partitioner, size, &mut rng);
+            .skip_client_dataset(&self.partitioner, size as usize, &mut rng);
         self.finish(client, rng, size)
     }
 

@@ -7,9 +7,8 @@
 //! channel to a server thread owning the [`BufferedServer`]. Latency
 //! heterogeneity is emulated with short real pauses proportional to the
 //! client's Zipf factor, paced by a `WakePacer`: one timer thread
-//! driving the same indexed event queue the deterministic engine
-//! schedules with ([`crate::schedule`]), instead of one OS sleep timer
-//! per client.
+//! driving the same event queue the deterministic engine schedules with
+//! ([`crate::schedule`]), instead of one OS sleep timer per client.
 //!
 //! Unlike [`crate::runner::Simulation`], arrival order depends on the OS
 //! scheduler, so **results are not bit-reproducible across runs** — the
@@ -36,7 +35,7 @@ use crate::config::SimConfig;
 use crate::latency::LatencyModel;
 use crate::metrics::RunResult;
 use crate::runner::build_attack;
-use crate::schedule::{EventKey, EventQueue, SchedulerKind};
+use crate::schedule::{EventKey, HeapQueue};
 use crate::server::BufferedServer;
 
 /// Per-cycle pause per latency-factor unit (keeps tests fast while still
@@ -71,16 +70,15 @@ impl EventKey for WakeEntry {
 /// The pacer's mutex-guarded core: the shared event queue plus the
 /// registration counter that makes the queue's order total.
 struct PacerState {
-    queue: Box<dyn EventQueue<WakeEntry> + Send>,
+    queue: HeapQueue<WakeEntry>,
     next_seq: u64,
 }
 
 /// Latency pacer: client threads register a wake deadline in a shared
-/// [`EventQueue`] — the same scheduler the deterministic engine runs on,
-/// selected by [`SimConfig::scheduler`] — and park; one timer thread
-/// pops due entries and unparks their owners. This replaces the old
-/// per-client `thread::sleep`, so emulated latency costs one indexed
-/// queue instead of `num_clients` independent OS timers.
+/// [`HeapQueue`] — the same scheduler the deterministic engine runs on —
+/// and park; one timer thread pops due entries and unparks their owners.
+/// This replaces the old per-client `thread::sleep`, so emulated latency
+/// costs one queue instead of `num_clients` independent OS timers.
 ///
 /// Liveness never depends on the pacer: a sleeping client re-checks its
 /// own deadline around `park_timeout`, so a backlogged (or finished)
@@ -92,11 +90,11 @@ struct WakePacer {
 }
 
 impl WakePacer {
-    fn new(kind: SchedulerKind) -> Self {
+    fn new() -> Self {
         Self {
             clock: Stopwatch::start(),
             state: Mutex::new(PacerState {
-                queue: kind.build_send(),
+                queue: HeapQueue::new(),
                 next_seq: 0,
             }),
             bell: Condvar::new(),
@@ -271,7 +269,7 @@ pub fn run_threaded_with_sink(
 
     let trainer = LocalTrainer::from_profile(&config.profile);
     let (report_tx, report_rx) = mpsc::channel::<u64>();
-    let pacer = WakePacer::new(config.scheduler);
+    let pacer = WakePacer::new();
 
     std::thread::scope(|scope| {
         {
@@ -293,7 +291,7 @@ pub fn run_threaded_with_sink(
             let mut eval_model = template.clone();
             let is_malicious = state.malicious;
             let factor = state.factor;
-            let weight = state.size;
+            let weight = state.size as usize;
             let seed = asyncfl_rng::stream::substream_seed(config.seed, c as u64) ^ 0x7ead;
             let cfg = &config;
             let report_tx = report_tx.clone();

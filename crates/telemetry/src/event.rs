@@ -34,6 +34,30 @@ impl std::fmt::Display for Verdict {
     }
 }
 
+/// Why the server refused a client report before any filter saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MalformedReason {
+    /// The report claims a base round later than the server's current
+    /// round. Staleness `round - base_round` would be negative; read as
+    /// 0 it would place the report in the freshest staleness group.
+    FutureBaseRound,
+}
+
+impl MalformedReason {
+    /// The snake_case wire name (`"future_base_round"`).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            MalformedReason::FutureBaseRound => "future_base_round",
+        }
+    }
+}
+
+impl std::fmt::Display for MalformedReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// One structured observation of the update lifecycle.
 ///
 /// Events are cheap, `Copy`-free value types; sinks receive them by
@@ -58,6 +82,18 @@ pub enum Event {
         round: u64,
         /// The offending staleness value.
         staleness: u64,
+    },
+    /// A report was refused as malformed at receipt: it is neither
+    /// buffered nor shown to the filter.
+    UpdateRejectedMalformed {
+        /// Submitting client.
+        client: usize,
+        /// Server round at receipt.
+        round: u64,
+        /// The base round the report claims.
+        base_round: u64,
+        /// What is wrong with it.
+        reason: MalformedReason,
     },
     /// The filter's per-update decision for one buffered report.
     ///
@@ -135,6 +171,7 @@ impl Event {
         match self {
             Event::UpdateReceived { .. } => "update_received",
             Event::UpdateDiscardedStale { .. } => "update_discarded_stale",
+            Event::UpdateRejectedMalformed { .. } => "update_rejected_malformed",
             Event::FilterScore { .. } => "filter_score",
             Event::AggregationCompleted { .. } => "aggregation_completed",
             Event::AccuracyCheckpoint { .. } => "accuracy_checkpoint",
@@ -173,6 +210,18 @@ impl Event {
                 let _ = write!(
                     out,
                     ",\"client\":{client},\"round\":{round},\"staleness\":{staleness}"
+                );
+            }
+            Event::UpdateRejectedMalformed {
+                client,
+                round,
+                base_round,
+                reason,
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"client\":{client},\"round\":{round},\"base_round\":{base_round},\
+                     \"reason\":\"{reason}\""
                 );
             }
             Event::FilterScore {
@@ -312,6 +361,16 @@ mod tests {
         assert_eq!(
             e.to_json(),
             r#"{"type":"update_received","client":3,"round":7,"staleness":2}"#
+        );
+        let e = Event::UpdateRejectedMalformed {
+            client: 5,
+            round: 3,
+            base_round: 8,
+            reason: MalformedReason::FutureBaseRound,
+        };
+        assert_eq!(
+            e.to_json(),
+            r#"{"type":"update_rejected_malformed","client":5,"round":3,"base_round":8,"reason":"future_base_round"}"#
         );
         let e = Event::FilterScore {
             client: 1,

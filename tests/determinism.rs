@@ -13,7 +13,6 @@
 
 use asyncfilter::prelude::*;
 use asyncfilter::sim::runner::build_attack;
-use asyncfilter::sim::schedule::SchedulerKind;
 use std::sync::Arc;
 
 // Run the determinism pins with allocation accounting live: the counting
@@ -40,23 +39,9 @@ fn traced_run(seed: u64) -> (RunResult, Vec<Event>) {
 
 /// As [`traced_run`], with an explicit worker-thread count.
 fn traced_run_threaded(seed: u64, threads: usize) -> (RunResult, Vec<Event>) {
-    traced_run_scheduled(seed, threads, SchedulerKind::Wheel)
-}
-
-/// As [`traced_run_threaded`], with an explicit event-queue scheduler.
-fn traced_run_scheduled(
-    seed: u64,
-    threads: usize,
-    scheduler: SchedulerKind,
-) -> (RunResult, Vec<Event>) {
     let mem = Arc::new(MemorySink::new(100_000));
     let sink = SharedSink::from_arc(Arc::clone(&mem) as Arc<dyn Sink>);
-    let mut sim = Simulation::new(
-        small_config()
-            .with_seed(seed)
-            .with_threads(threads)
-            .with_scheduler(scheduler),
-    );
+    let mut sim = Simulation::new(small_config().with_seed(seed).with_threads(threads));
     let attack = build_attack(
         AttackKind::Gd,
         sim.config().num_clients,
@@ -123,57 +108,28 @@ fn worker_pool_replays_byte_identically() {
 }
 
 #[test]
-fn wheel_scheduler_replays_byte_identically() {
-    // Run-level determinism pin for the default calendar-queue scheduler
-    // (DESIGN.md §12): two identically seeded runs through the wheel must
-    // agree bit-for-bit, exactly as the heap-backed engine always has.
-    let (first, first_verdicts) = traced_run_scheduled(42, 1, SchedulerKind::Wheel);
-    let (second, second_verdicts) = traced_run_scheduled(42, 1, SchedulerKind::Wheel);
-    assert_eq!(first, second);
-    assert_eq!(
-        format!("{first_verdicts:?}"),
-        format!("{second_verdicts:?}"),
-        "wheel-scheduled filter verdicts diverged between identical seeded runs"
-    );
-    assert!(!first_verdicts.is_empty());
-}
-
-#[test]
 fn heap_twin_replays_byte_identically() {
-    // The binary-heap differential twin stays a first-class citizen: the
-    // same run-level pin holds when the heap is selected explicitly.
-    let (first, first_verdicts) = traced_run_scheduled(42, 1, SchedulerKind::Heap);
-    let (second, second_verdicts) = traced_run_scheduled(42, 1, SchedulerKind::Heap);
-    assert_eq!(first, second);
-    assert_eq!(
-        format!("{first_verdicts:?}"),
-        format!("{second_verdicts:?}"),
-        "heap-scheduled filter verdicts diverged between identical seeded runs"
-    );
-    assert!(!first_verdicts.is_empty());
-}
-
-#[test]
-fn wheel_and_heap_schedulers_agree_byte_identically() {
-    // Differential pin: the calendar queue must pop the event stream in
-    // exactly the heap's (completes_at, seq) order, so entire runs — round
-    // reports and every per-update verdict — match bit-for-bit across the
-    // two schedulers, at threads=1 and on the worker pool.
+    // Run-level pin for the engine's event queue, a binary heap and the
+    // only scheduler (DESIGN.md §12; the name dates from when the heap
+    // was the calendar queue's differential twin): pop order is
+    // `(completes_at, seq)` under `f64::total_cmp`, so two identically
+    // seeded runs agree bit-for-bit — round reports and every per-update
+    // verdict — at threads=1 and on the worker pool.
     for threads in [1, 4] {
-        let (wheel, wheel_verdicts) = traced_run_scheduled(42, threads, SchedulerKind::Wheel);
-        let (heap, heap_verdicts) = traced_run_scheduled(42, threads, SchedulerKind::Heap);
-        assert_eq!(wheel, heap, "run results diverged at threads={threads}");
+        let (first, first_verdicts) = traced_run_threaded(42, threads);
+        let (second, second_verdicts) = traced_run_threaded(42, threads);
+        assert_eq!(first, second, "run results diverged at threads={threads}");
         assert_eq!(
-            format!("{:?}", wheel.round_reports),
-            format!("{:?}", heap.round_reports),
-            "round reports diverged between wheel and heap at threads={threads}"
+            format!("{:?}", first.round_reports),
+            format!("{:?}", second.round_reports),
+            "round reports diverged at threads={threads}"
         );
         assert_eq!(
-            format!("{wheel_verdicts:?}"),
-            format!("{heap_verdicts:?}"),
-            "filter verdicts diverged between wheel and heap at threads={threads}"
+            format!("{first_verdicts:?}"),
+            format!("{second_verdicts:?}"),
+            "filter verdicts diverged at threads={threads}"
         );
-        assert!(!wheel_verdicts.is_empty());
+        assert!(!first_verdicts.is_empty());
     }
 }
 

@@ -5,10 +5,10 @@
 //! in-flight set and the spawner's shard-cache capacity, **not** with
 //! `num_clients`. The eager engine held every client's dataset, RNG and
 //! factor in `O(num_clients)` `Vec`s (~1.3 KB/client at these settings);
-//! the lazy engine keeps one lightweight heap entry per client (~200 B)
-//! and a bounded shard cache. Scaling the population 100× must therefore
-//! cost well under the eager design's per-client footprint — the
-//! assertions below fail if anyone reintroduces a heavy per-client array.
+//! the lazy engine keeps one 56-byte event-queue entry per client and a
+//! bounded shard cache. Scaling the population 100× must therefore cost
+//! about 56 B per extra client — the assertions below fail if anyone
+//! reintroduces a per-client array or fattens the queue entry.
 
 use asyncfilter::prelude::*;
 use std::sync::Arc;
@@ -85,12 +85,12 @@ fn resident_memory_grows_with_cache_not_population() {
     );
     assert!(small_after <= 64 && large_after <= 64);
 
-    // Scaling the population 100× may only add the lightweight per-client
-    // heap entries (completion time, seq, Arc pointer, RNG state, factor —
-    // no datasets). 512 B/client is ~2.5× the real entry size and well
-    // under the ~1.3 KB/client the eager per-client `Vec`s would add.
+    // Scaling the population 100× may only add the per-client event-queue
+    // entries (completion time, seq, ids, snapshot pointer, RNG state,
+    // factor — no datasets), reserved at exactly one per client. The
+    // measured growth is 56.4 B per extra client; the budget is 2× that.
     let added = large_peak.saturating_sub(small_peak);
-    let budget = 100_000u64 * 512;
+    let budget = 100_000u64 * 112;
     assert!(
         added <= budget,
         "peak grew by {added} bytes for 99k extra clients (budget {budget}): \
