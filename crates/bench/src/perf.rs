@@ -597,8 +597,9 @@ pub struct ScaleProbe {
     pub rounds: u64,
     /// Aggregation bound Ω.
     pub aggregation_bound: usize,
-    /// Per-cycle participation probability (< 1 so the probe exercises
-    /// the idle/reschedule path at scale, not just training).
+    /// Per-cycle participation probability. The probe sets 0.5, but it
+    /// is drawn only when a client reschedules, and at 10⁶ clients no
+    /// client completes twice, so the idle path never runs here.
     pub participation: f64,
     /// Spawner shard-cache capacity in effect for the run.
     pub shard_cache_capacity: usize,
@@ -631,13 +632,19 @@ pub struct ScaleProbe {
 /// The scale probe's configuration: a million tiny-shard clients, no
 /// attackers (the probe measures the engine, not the filter), threads = 1
 /// (the inline path is the documented scale path), and the auto-sized
-/// shard cache. The largest single share of the allocator peak this
-/// produces is the 10⁶-entry event queue (56 B per entry, reserved once;
-/// queued jobs share one global-model snapshot per round). The Ω-sized aggregation
-/// buffer is a minor share: 8192 buffered updates of the 330-parameter
-/// model, parameters plus delta, are ≈ 43 MB. Ω is kept moderate to keep
-/// the probe's wall clock CI-friendly, since the filter pass's 1-D k-means
-/// is quadratic in Ω.
+/// shard cache (which keeps no shard here: the population exceeds its
+/// capacity). The largest shares of the allocator peak this produces are
+/// the Ω-sized aggregation buffer — 8192 buffered updates of the
+/// 330-parameter model, parameters plus delta, ≈ 43 MB — and the
+/// 10⁶-entry kickoff wave (32 B per client; every kickoff job shares the
+/// initial model). Ω is kept moderate to keep the probe's wall clock
+/// CI-friendly, since the filter pass's 1-D k-means is quadratic in Ω.
+///
+/// `participation = 0.5` does not reach the idle or reschedule path: 12 ×
+/// 8192 updates come from the fastest 9.8% of the population, and no
+/// client completes twice (`loop_events` = `updates_received` = 98 304),
+/// so every popped event is a kickoff job and participation is never
+/// drawn.
 fn scale_probe_config(quick: bool) -> SimConfig {
     let mut cfg = SimConfig::paper_default(DatasetProfile::Mnist);
     cfg.num_clients = 1_000_000;

@@ -62,13 +62,16 @@ pub struct SimConfig {
     /// consumed in deterministic heap order, so results are byte-identical
     /// for every `N` (see DESIGN.md "Dispatch-time determinism").
     pub threads: usize,
-    /// Capacity of the spawner's dataset-shard cache — the number of
-    /// client shards kept materialized at once (DESIGN.md §11). `None`
-    /// (default) auto-sizes to `min(num_clients, 4096)`: every shard stays
-    /// resident at paper scales, while million-client runs stay bounded.
-    /// Cache state never affects results — an evicted shard is regenerated
-    /// byte-identically from seed + client id — only memory and the cost
-    /// of regeneration. `Some(0)` is invalid.
+    /// Capacity of the spawner's dataset-shard cache (DESIGN.md §11).
+    /// Shards are cached only when the whole population fits: if
+    /// `num_clients` is at most the capacity, each client's shard is kept
+    /// in a slot of its own after it is first built; otherwise no shard is
+    /// kept and each training regenerates its client's shard. `None`
+    /// (default) auto-sizes to `min(num_clients, 4096)`: paper-scale
+    /// populations are cached in full, million-client runs keep no shard.
+    /// The choice never affects results — a regenerated shard is
+    /// byte-identical, derived from seed + client id — only memory and the
+    /// cost of regeneration. `Some(0)` is invalid.
     pub shard_cache_capacity: Option<usize>,
 }
 

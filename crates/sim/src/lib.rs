@@ -6,8 +6,8 @@
 //! This crate reproduces that runtime twice (per `DESIGN.md`):
 //!
 //! * [`runner::Simulation`] — a **deterministic discrete-event simulator**:
-//!   virtual clock, one binary-heap event queue reserved at one entry
-//!   per client (see [`schedule`]), per-client seeded RNG streams.
+//!   virtual clock, a sorted kickoff wave merged with a binary heap of
+//!   later events (see [`schedule`]), per-client seeded RNG streams.
 //!   Given a seed, runs are bit-reproducible (PLATO's "reproducible mode").
 //!   Every table/figure experiment uses this engine.
 //! * [`threaded::run_threaded`] — a **thread-per-client engine** built on
@@ -50,6 +50,6 @@ pub mod threaded;
 pub use config::SimConfig;
 pub use metrics::{DetectionStats, RunResult};
 pub use runner::Simulation;
-pub use schedule::{EventKey, HeapQueue};
+pub use schedule::{EventKey, HeapQueue, Popped, WaveQueue};
 pub use server::{AggregationReport, BufferedServer};
 pub use spawner::{ClientSpawner, ClientState, RngCheckedOut};

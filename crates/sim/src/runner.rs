@@ -20,8 +20,9 @@
 //! exploits *dispatch-time determinism*: an honest local-training result
 //! is fully determined when the job is dispatched (the global-model
 //! snapshot plus the client's own RNG stream), so jobs are shipped
-//! eagerly to a [`crate::pool`] worker pool and their results collected
-//! by sequence number in the exact order the event queue pops them.
+//! eagerly to a [`crate::pool`] worker pool — kickoff jobs in pop order,
+//! at most `KICKOFF_WINDOW` ahead — and their results collected by
+//! sequence number in the exact order the event queue pops them.
 //! Everything stateful and order-sensitive — attack crafting against the
 //! shared collusion pool, the server's filter/aggregate pipeline,
 //! participation and dropout draws — stays on the event-loop thread.
@@ -32,9 +33,10 @@
 //! pure function of `seed + client id`, so resident memory is bounded by
 //! the in-flight set plus a fixed shard cache, not by `num_clients`
 //! (see DESIGN.md §11). A million-client run therefore fits in the same
-//! footprint as a hundred-client one, modulo the event queue itself: one
-//! 56-byte entry per client, reserved once at exactly `num_clients`
-//! entries ([`crate::schedule`], DESIGN.md §12).
+//! footprint as a hundred-client one, modulo the kickoff wave: one
+//! 32-byte [`WaveEntry`] per client, sorted once and popped in order,
+//! merged with a heap that holds only the jobs the loop schedules later
+//! ([`crate::schedule`], DESIGN.md §12).
 
 use asyncfl_attacks::{Attack, AttackKind, GradientDeviationAttack};
 use asyncfl_core::aggregation::{Aggregator, MeanAggregator};
@@ -54,15 +56,21 @@ use crate::config::SimConfig;
 use crate::latency::LatencyModel;
 use crate::metrics::RunResult;
 use crate::pool::{with_worker_pool, PoolHandle};
-use crate::schedule::{EventKey, HeapQueue};
+use crate::schedule::{EventKey, Popped, WaveQueue};
 use crate::server::BufferedServer;
-use crate::spawner::{ClientSpawner, ClientState};
+use crate::spawner::{ClientSpawner, ClientState, WaveEntry};
 
-/// An in-flight local training job, ordered by `(completes_at, seq)` in
-/// the event queue ([`EventKey`]). Every client has exactly one entry at
-/// all times, so at 10⁶ clients this is the run's largest structure: it
-/// is kept at 56 bytes (pinned by a unit test). `client` and `base_round`
-/// are `u32`; [`Simulation::new`] checks that both fit.
+/// How many kickoff jobs pool mode ships to the workers ahead of the
+/// wave's pop cursor. Any window replays bit-identically (dispatch-time
+/// determinism); it only bounds how many kickoff results wait uncollected
+/// and how many are trained for nothing when the run ends.
+const KICKOFF_WINDOW: usize = 256;
+
+/// An in-flight local training job the loop scheduled after kickoff,
+/// ordered by `(completes_at, seq)` in the event heap ([`EventKey`]); a
+/// popped [`WaveEntry`] becomes one too. Kept at 56 bytes (pinned by a
+/// unit test). `client` and `base_round` are `u32`; [`Simulation::new`]
+/// checks that both fit.
 struct InFlight {
     completes_at: f64,
     seq: u64,
@@ -86,6 +94,17 @@ impl EventKey for InFlight {
     }
     fn seq(&self) -> u64 {
         self.seq
+    }
+}
+
+/// A kickoff job's sequence number is its client id, below every `seq`
+/// the loop assigns (those start at `num_clients`).
+impl EventKey for WaveEntry {
+    fn time(&self) -> f64 {
+        self.completes_at()
+    }
+    fn seq(&self) -> u64 {
+        u64::from(self.client())
     }
 }
 
@@ -454,38 +473,23 @@ impl Simulation {
             let mut attack_rng = StdRng::seed_from_u64(cfg.seed ^ 0xA77A_C4E2_57A1_F00D);
             let mut eval_model = template.clone_box();
 
-            // Kick off every client at t = 0 from the initial model. Each
-            // client's state is materialized here and then lives in its
-            // (single, permanent) queue entry. The event queue is the only
-            // O(num_clients) structure a run keeps: every pop is followed
-            // by at most one push, so it never holds more than one entry
-            // per client, and it is reserved once at exactly that size
-            // (56 B per client, ~53 MiB at 10⁶ clients) and never grows.
-            let mut queue = HeapQueue::with_capacity(cfg.num_clients);
-            let mut seq = 0u64;
+            // Kick off every client at t = 0 from the initial model. The
+            // wave — one 32-byte entry per client, the run's only
+            // O(num_clients) structure — is sorted once and popped by a
+            // cursor; its entries share one snapshot and take `seq` =
+            // client id. Only jobs the loop schedules go into the heap,
+            // which grows on demand: at 10⁶ clients few clients ever
+            // complete, so it stays small.
             let mut snapshot = RoundSnapshot::new(&server);
             let init_base = snapshot.get(&server);
-            for client in 0..cfg.num_clients {
-                let mut state = spawner.spawn(client);
-                let factor = state.factor;
-                let dur = {
-                    let rng = state.rng_mut(client).unwrap_or_else(|e| {
-                        // lint:allow(P1) -- freshly spawned state always has its stream home; a miss is an engine bug
-                        panic!("kickoff: {e}")
-                    });
-                    latency.cycle_duration(factor, rng)
-                };
-                dispatch(&mut pool, seq, client, &init_base, &mut state);
-                queue.push(InFlight {
-                    completes_at: dur,
-                    seq,
-                    client: narrow(client as u64),
-                    base_round: 0,
-                    base_params: Some(Arc::clone(&init_base)),
-                    state,
-                });
-                seq += 1;
-            }
+            let wave = (0..cfg.num_clients)
+                .map(|client| spawner.kickoff(narrow(client as u64)))
+                .collect();
+            let mut queue: WaveQueue<WaveEntry, InFlight> = WaveQueue::new(wave);
+            let mut seq = cfg.num_clients as u64;
+            // Pool mode: kickoff jobs are shipped in wave (= pop) order, at
+            // most `KICKOFF_WINDOW` ahead of the cursor.
+            let mut wave_dispatched = 0usize;
 
             if root_data.is_some() {
                 let trusted = trusted_delta(root_data, template, cfg, trainer, server.global());
@@ -499,7 +503,31 @@ impl Simulation {
             let max_events = event_budget(cfg);
             let mut events = 0u64;
 
-            while let Some(mut job) = queue.pop() {
+            loop {
+                if pool.is_some() {
+                    let ahead = queue.wave_popped().saturating_add(KICKOFF_WINDOW);
+                    let due = queue
+                        .wave()
+                        .get(wave_dispatched..ahead.min(queue.wave().len()));
+                    for entry in due.unwrap_or_default() {
+                        let client = entry.client() as usize;
+                        let mut state = spawner.resume(entry);
+                        dispatch(&mut pool, entry.seq(), client, &init_base, &mut state);
+                        wave_dispatched += 1;
+                    }
+                }
+                let mut job = match queue.pop() {
+                    None => break,
+                    Some(Popped::Heap(job)) => job,
+                    Some(Popped::Wave(entry)) => InFlight {
+                        completes_at: entry.completes_at(),
+                        seq: entry.seq(),
+                        client: entry.client(),
+                        base_round: 0,
+                        base_params: Some(Arc::clone(&init_base)),
+                        state: spawner.resume(&entry),
+                    },
+                };
                 events += 1;
                 if events > max_events {
                     break;
@@ -600,16 +628,18 @@ impl Simulation {
                 if let Some(report) = received {
                     round_reports.push(report);
                     // Sample engine-level resource gauges once per
-                    // aggregation (not per event): the event-queue
-                    // depth, how many dataset shards the spawner holds
-                    // materialized (bounded by its cache capacity, not by
-                    // num_clients — the lazy-materialization scale
-                    // contract), and the allocator's live bytes (zero when
-                    // no counting allocator is installed).
+                    // aggregation (not per event): the jobs the loop has
+                    // scheduled since kickoff and not yet popped (the
+                    // heap; kickoff jobs are in the wave), how many dataset
+                    // shards the spawner holds (bounded by its cache
+                    // capacity, not by num_clients — the
+                    // lazy-materialization scale contract), and the
+                    // allocator's live bytes (zero when no counting
+                    // allocator is installed).
                     if let Some(s) = &sink {
                         s.emit(&Event::GaugeSample {
-                            name: "event_queue_depth",
-                            value: queue.len() as u64,
+                            name: "rescheduled_in_flight",
+                            value: queue.heap_len() as u64,
                         });
                         s.emit(&Event::GaugeSample {
                             name: "resident_client_states",
@@ -759,8 +789,8 @@ mod tests {
 
     #[test]
     fn queue_entry_stays_at_56_bytes() {
-        // One entry per client: at 10⁶ clients every byte here is ~1 MB of
-        // the run's peak.
+        // One entry per rescheduled job; kickoff jobs wait in 32-byte wave
+        // entries instead.
         assert!(
             std::mem::size_of::<InFlight>() <= 56,
             "InFlight is {} bytes",

@@ -21,15 +21,16 @@
 //! Kickoff ([`ClientSpawner::spawn`]) needs only steps 1, 3 and 4, but the
 //! factor draw sits behind the dataset draws, so it replays step 2
 //! draw-only ([`Task::skip_client_dataset`]): the same RNG draws, no
-//! features generated, no shard built. Dataset shards — the only heavy
-//! piece — are built when a client first trains ([`ClientSpawner::dataset`])
-//! and kept in a bounded, least-recently-used
-//! [`shard cache`](ClientSpawner::resident_states), regenerated on miss, so
-//! steady-state memory is `O(cache capacity)`, not `O(num_clients)`. At
-//! paper scales the default capacity covers the whole population, so each
-//! shard is built once; at millions of clients the cache bounds residency
-//! while training results stay bit-identical, since a regenerated shard is
-//! byte-equal to the evicted one.
+//! features generated, no shard built. The deterministic engine keeps each
+//! kicked-off client as a 32-byte [`WaveEntry`] ([`ClientSpawner::kickoff`])
+//! until its first completion, and [`ClientSpawner::resume`] rebuilds the
+//! in-flight state from it. Dataset shards — the only heavy piece — are
+//! built when a client trains ([`ClientSpawner::dataset`]). When the whole
+//! population fits the shard-cache capacity, each shard is kept in a slot
+//! indexed by client id after its first build; otherwise no shard is kept
+//! and every fetch regenerates it, so resident shards are bounded by the
+//! cache capacity, never by `num_clients` alone. Results cannot depend on
+//! either choice, since a regenerated shard is byte-equal to the first.
 //!
 //! The attacker set is derived once with
 //! [`select_prefix`](asyncfl_data::sampling::select_prefix) — the same
@@ -41,8 +42,7 @@ use asyncfl_data::synthetic::Task;
 use asyncfl_data::Dataset;
 use asyncfl_rng::rngs::StdRng;
 use asyncfl_rng::RngExt;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use crate::latency::LatencyModel;
 
@@ -133,59 +133,32 @@ impl ClientState {
     }
 }
 
-/// Bounded LRU cache of materialized dataset shards, keyed by client id.
+/// A client's kickoff job as the deterministic engine's wave holds it:
+/// 32 bytes, one per client (pinned by a unit test).
 ///
-/// Eviction is strictly least-recently-used on an access counter; in
-/// multi-threaded runs the access order (and therefore which clients are
-/// resident at a given instant) follows the scheduler, but cached *content*
-/// is a pure function of the client id, so results never depend on cache
-/// state.
-struct ShardCache {
-    capacity: usize,
-    tick: u64,
-    by_client: BTreeMap<usize, (u64, Arc<Dataset>)>,
-    by_tick: BTreeMap<u64, usize>,
+/// It keeps what [`ClientState`] needs and cannot recompute cheaply — the
+/// live RNG stream (positioned after the first cycle-duration draw), the
+/// latency factor and the partition size — plus the client id and the
+/// first cycle's completion time. The attacker flag is not stored:
+/// [`ClientSpawner::resume`] looks it up again by binary search.
+#[derive(Debug, Clone)]
+pub struct WaveEntry {
+    completes_at: f64,
+    rng: StdRng,
+    factor: f64,
+    client: u32,
+    size: u32,
 }
 
-impl ShardCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            tick: 0,
-            by_client: BTreeMap::new(),
-            by_tick: BTreeMap::new(),
-        }
+impl WaveEntry {
+    /// Virtual time at which the client's first training cycle completes.
+    pub fn completes_at(&self) -> f64 {
+        self.completes_at
     }
 
-    fn get(&mut self, client: usize) -> Option<Arc<Dataset>> {
-        let tick = self.tick;
-        self.tick += 1;
-        let (old_tick, data) = self.by_client.get_mut(&client)?;
-        self.by_tick.remove(old_tick);
-        *old_tick = tick;
-        self.by_tick.insert(tick, client);
-        Some(Arc::clone(data))
-    }
-
-    fn insert(&mut self, client: usize, data: Arc<Dataset>) {
-        if let Some((old_tick, _)) = self.by_client.remove(&client) {
-            self.by_tick.remove(&old_tick);
-        }
-        while self.by_client.len() >= self.capacity {
-            let Some((_, evicted)) = self.by_tick.pop_first() else {
-                break;
-            };
-            self.by_client.remove(&evicted);
-        }
-        let tick = self.tick;
-        self.tick += 1;
-        self.by_client.insert(client, (tick, data));
-        self.by_tick.insert(tick, client);
-    }
-
-    fn clear(&mut self) {
-        self.by_client.clear();
-        self.by_tick.clear();
+    /// The client this entry kicks off.
+    pub fn client(&self) -> u32 {
+        self.client
     }
 }
 
@@ -193,7 +166,8 @@ impl ShardCache {
 ///
 /// Shared by both engines (the deterministic runner borrows it across its
 /// worker pool, the threaded engine across client threads), so it is
-/// `Sync`: the only interior state is the shard cache behind a mutex.
+/// `Sync`: the only interior state is the shard cache, one `OnceLock`
+/// slot per client.
 pub struct ClientSpawner {
     seed: u64,
     num_clients: usize,
@@ -205,16 +179,19 @@ pub struct ClientSpawner {
     /// Sorted attacker ids — `O(num_malicious)` memory.
     malicious: Vec<usize>,
     poison_labels: bool,
-    cache: Mutex<ShardCache>,
+    /// One shard slot per client when the whole population fits the cache
+    /// capacity, filled on first fetch and never evicted; `None` when it
+    /// does not fit, and every fetch regenerates the shard.
+    cache: Option<Vec<OnceLock<Arc<Dataset>>>>,
 }
 
 impl ClientSpawner {
     /// Builds a spawner over `num_clients` clients.
     ///
     /// `malicious` is the sorted attacker id set (from
-    /// [`select_prefix`](asyncfl_data::sampling::select_prefix));
-    /// `cache_capacity` bounds resident dataset shards (values below 1 are
-    /// clamped to 1).
+    /// [`select_prefix`](asyncfl_data::sampling::select_prefix)). Shards
+    /// are cached only if `num_clients <= cache_capacity`: then every
+    /// client's shard is kept after its first build; otherwise none is.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         seed: u64,
@@ -238,7 +215,8 @@ impl ClientSpawner {
             task,
             malicious,
             poison_labels: false,
-            cache: Mutex::new(ShardCache::new(cache_capacity)),
+            cache: (num_clients <= cache_capacity)
+                .then(|| (0..num_clients).map(|_| OnceLock::new()).collect()),
         }
     }
 
@@ -258,10 +236,9 @@ impl ClientSpawner {
     /// shards were derived unpoisoned.
     pub fn set_poison_labels(&mut self) {
         self.poison_labels = true;
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        for slot in self.cache.iter_mut().flatten() {
+            slot.take();
+        }
     }
 
     /// Whether label-flip poisoning is enabled.
@@ -269,15 +246,16 @@ impl ClientSpawner {
         self.poison_labels
     }
 
-    /// Number of dataset shards currently materialized — the
+    /// Number of dataset shards currently cached — the
     /// `resident_client_states` gauge, and the quantity the memory-flatness
     /// regression test bounds by cache capacity instead of `num_clients`.
+    /// Always 0 when the population does not fit the cache.
     pub fn resident_states(&self) -> usize {
         self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .by_client
-            .len()
+            .iter()
+            .flatten()
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 
     /// Step 1 of the module's draw order: a fresh stream for `client` and
@@ -329,8 +307,7 @@ impl ClientSpawner {
     }
 
     /// Materializes `client`'s in-flight state (live RNG, latency factor,
-    /// partition size, attacker flag). Called once per client, at kickoff;
-    /// the returned state then lives in the client's heap entry.
+    /// partition size, attacker flag), as it stands at kickoff.
     ///
     /// Equal to `derive(client).0`, but draw-only: the dataset step is
     /// replayed by [`Task::skip_client_dataset`], so no shard is built and
@@ -342,23 +319,46 @@ impl ClientSpawner {
         self.finish(client, rng, size)
     }
 
-    /// The client's dataset shard: cache hit (one `Arc` clone, no
-    /// allocation) or pure regeneration on miss.
-    pub fn dataset(&self, client: usize) -> Arc<Dataset> {
-        if let Some(data) = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(client)
-        {
-            return data;
+    /// The deterministic engine's kickoff: [`spawn`](Self::spawn), then the
+    /// first cycle's duration drawn from the client's stream, compacted into
+    /// a [`WaveEntry`].
+    pub fn kickoff(&self, client: u32) -> WaveEntry {
+        let ClientState {
+            mut rng,
+            factor,
+            size,
+            ..
+        } = self.spawn(client as usize);
+        let completes_at = self.latency.cycle_duration(factor, &mut rng);
+        WaveEntry {
+            completes_at,
+            rng,
+            factor,
+            client,
+            size,
         }
-        let (_, data) = self.derive(client);
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(client, Arc::clone(&data));
-        data
+    }
+
+    /// Rebuilds the in-flight state a [`WaveEntry`] compacts: the state
+    /// [`spawn`](Self::spawn) returns, after the first cycle-duration draw.
+    pub fn resume(&self, entry: &WaveEntry) -> ClientState {
+        ClientState {
+            rng: entry.rng.clone(),
+            factor: entry.factor,
+            size: entry.size,
+            malicious: self.is_malicious(entry.client as usize),
+            rng_home: true,
+        }
+    }
+
+    /// The client's dataset shard: its cache slot (one `Arc` clone after
+    /// the first build) when the population fits the cache, a fresh
+    /// regeneration otherwise.
+    pub fn dataset(&self, client: usize) -> Arc<Dataset> {
+        match self.cache.as_ref().and_then(|slots| slots.get(client)) {
+            Some(slot) => Arc::clone(slot.get_or_init(|| self.derive(client).1)),
+            None => self.derive(client).1,
+        }
     }
 }
 
@@ -475,14 +475,49 @@ mod tests {
     }
 
     #[test]
-    fn cache_stays_bounded_and_regenerates_identically() {
-        let spawner = test_spawner(4);
-        let originals: Vec<Arc<Dataset>> = (0..16).map(|c| spawner.dataset(c)).collect();
-        assert!(spawner.resident_states() <= 4);
-        // Client 0 was evicted long ago; a regenerated shard is byte-equal.
-        let again = spawner.dataset(0);
-        assert_eq!(*again, *originals[0]);
-        assert!(spawner.resident_states() <= 4);
+    fn shards_are_cached_only_when_the_population_fits() {
+        // 16 clients over 4 slots: nothing is kept, every fetch regenerates
+        // a byte-equal shard.
+        let uncached = test_spawner(4);
+        let first = uncached.dataset(0);
+        let again = uncached.dataset(0);
+        assert_eq!(*again, *first);
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(uncached.resident_states(), 0);
+
+        // 16 clients over 16 slots: each shard is built once and kept.
+        let cached = test_spawner(16);
+        let first = cached.dataset(3);
+        assert_eq!(cached.resident_states(), 1);
+        assert!(Arc::ptr_eq(&first, &cached.dataset(3)));
+        assert_eq!(*first, *uncached.dataset(3));
+        for c in 0..16 {
+            let _ = cached.dataset(c);
+        }
+        assert_eq!(cached.resident_states(), 16);
+    }
+
+    #[test]
+    fn wave_entry_stays_at_32_bytes() {
+        // One entry per client: at 10⁶ clients every byte here is ~1 MB of
+        // the run's peak.
+        assert_eq!(std::mem::size_of::<WaveEntry>(), 32);
+    }
+
+    #[test]
+    fn kickoff_resumes_to_the_spawned_state_after_one_cycle_draw() {
+        let spawner = test_spawner(16);
+        let latency = LatencyModel::zipf(1.2, 4);
+        for c in 0..16u32 {
+            let mut state = spawner.spawn(c as usize);
+            let factor = state.factor;
+            let dur = latency.cycle_duration(factor, state.rng_mut(c as usize).unwrap());
+            let entry = spawner.kickoff(c);
+            assert_eq!(entry.client(), c);
+            assert_eq!(entry.completes_at().to_bits(), dur.to_bits());
+            assert_eq!(spawner.resume(&entry), state, "client {c}");
+        }
+        assert_eq!(spawner.resident_states(), 0);
     }
 
     #[test]

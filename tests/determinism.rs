@@ -32,16 +32,22 @@ fn small_config() -> SimConfig {
     cfg
 }
 
-/// One traced run: `RunResult` plus the full filter-verdict event stream.
+/// One traced run: `RunResult` plus every update-received and
+/// filter-verdict event, in order.
 fn traced_run(seed: u64) -> (RunResult, Vec<Event>) {
     traced_run_threaded(seed, 1)
 }
 
 /// As [`traced_run`], with an explicit worker-thread count.
 fn traced_run_threaded(seed: u64, threads: usize) -> (RunResult, Vec<Event>) {
+    traced_run_config(small_config().with_seed(seed).with_threads(threads))
+}
+
+/// One traced run of an explicit configuration.
+fn traced_run_config(config: SimConfig) -> (RunResult, Vec<Event>) {
     let mem = Arc::new(MemorySink::new(100_000));
     let sink = SharedSink::from_arc(Arc::clone(&mem) as Arc<dyn Sink>);
-    let mut sim = Simulation::new(small_config().with_seed(seed).with_threads(threads));
+    let mut sim = Simulation::new(config);
     let attack = build_attack(
         AttackKind::Gd,
         sim.config().num_clients,
@@ -56,7 +62,7 @@ fn traced_run_threaded(seed: u64, threads: usize) -> (RunResult, Vec<Event>) {
     let verdicts: Vec<Event> = mem
         .events()
         .into_iter()
-        .filter(|e| matches!(e, Event::FilterScore { .. }))
+        .filter(|e| matches!(e, Event::FilterScore { .. } | Event::UpdateReceived { .. }))
         .collect();
     (result, verdicts)
 }
@@ -131,6 +137,54 @@ fn heap_twin_replays_byte_identically() {
         );
         assert!(!first_verdicts.is_empty());
     }
+}
+
+#[test]
+fn windowed_kickoff_dispatch_replays_byte_identically() {
+    // More clients than the pool's kickoff dispatch window (256 jobs
+    // ahead of the wave's cursor), so pool mode ships the kickoff wave in
+    // slices as the loop pops it. The horizon is long enough that fast
+    // clients complete again, so jobs from the heap interleave with the
+    // wave. threads=1 and threads=4 must agree bit-for-bit.
+    let config = |threads| {
+        let mut cfg = small_config().with_seed(42).with_threads(threads);
+        cfg.num_clients = 400;
+        cfg.num_malicious = 40;
+        cfg.aggregation_bound = 32;
+        cfg.rounds = 12;
+        cfg.eval_every = 6;
+        cfg.partition_size = Some(16);
+        cfg
+    };
+    let (sequential, sequential_verdicts) = traced_run_config(config(1));
+    let (parallel, parallel_verdicts) = traced_run_config(config(4));
+
+    assert_eq!(sequential, parallel);
+    assert_eq!(
+        format!("{:?}", sequential.round_reports),
+        format!("{:?}", parallel.round_reports),
+        "round reports diverged between threads=1 and threads=4"
+    );
+    assert_eq!(
+        format!("{sequential_verdicts:?}"),
+        format!("{parallel_verdicts:?}"),
+        "per-update filter verdicts diverged between threads=1 and threads=4"
+    );
+    // Some client reported twice: its second job came from the heap.
+    let mut reported: Vec<usize> = sequential_verdicts
+        .iter()
+        .filter_map(|e| match e {
+            Event::UpdateReceived { client, .. } => Some(*client),
+            _ => None,
+        })
+        .collect();
+    let total = reported.len();
+    reported.sort_unstable();
+    reported.dedup();
+    assert!(
+        reported.len() < total,
+        "no client reported twice; the run never popped the heap"
+    );
 }
 
 #[test]

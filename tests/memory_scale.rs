@@ -5,10 +5,11 @@
 //! in-flight set and the spawner's shard-cache capacity, **not** with
 //! `num_clients`. The eager engine held every client's dataset, RNG and
 //! factor in `O(num_clients)` `Vec`s (~1.3 KB/client at these settings);
-//! the lazy engine keeps one 56-byte event-queue entry per client and a
-//! bounded shard cache. Scaling the population 100× must therefore cost
-//! about 56 B per extra client — the assertions below fail if anyone
-//! reintroduces a per-client array or fattens the queue entry.
+//! the lazy engine keeps one 32-byte kickoff wave entry per client, a heap
+//! of the jobs it scheduled since, and shards only while the population
+//! fits the cache (never here). Scaling the population 100× must therefore
+//! cost about 32 B per extra client — the assertions below fail if anyone
+//! reintroduces a per-client array or fattens the wave entry.
 
 use asyncfilter::prelude::*;
 use std::sync::Arc;
@@ -17,8 +18,9 @@ use std::sync::Arc;
 static ALLOC: asyncfilter::telemetry::alloc::CountingAllocator =
     asyncfilter::telemetry::alloc::CountingAllocator::new();
 
-/// Tiny per-client shards and a fixed small shard cache, so the only thing
-/// that scales between the two runs is the client population itself.
+/// Tiny per-client shards and a shard-cache capacity below both
+/// populations (so no shard is cached), so the only thing that scales
+/// between the two runs is the client population itself.
 fn scale_config(num_clients: usize) -> SimConfig {
     let mut cfg = SimConfig::smoke_test();
     cfg.num_clients = num_clients;
@@ -85,12 +87,12 @@ fn resident_memory_grows_with_cache_not_population() {
     );
     assert!(small_after <= 64 && large_after <= 64);
 
-    // Scaling the population 100× may only add the per-client event-queue
-    // entries (completion time, seq, ids, snapshot pointer, RNG state,
-    // factor — no datasets), reserved at exactly one per client. The
-    // measured growth is 56.4 B per extra client; the budget is 2× that.
+    // Scaling the population 100× may only add the per-client wave
+    // entries (completion time, RNG state, factor, id, size — no
+    // datasets), one per client. The measured growth is 32.4 B per extra
+    // client; the budget is 2× that.
     let added = large_peak.saturating_sub(small_peak);
-    let budget = 100_000u64 * 112;
+    let budget = 100_000u64 * 64;
     assert!(
         added <= budget,
         "peak grew by {added} bytes for 99k extra clients (budget {budget}): \
